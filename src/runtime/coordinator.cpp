@@ -15,16 +15,15 @@
 #include <thread>
 #include <utility>
 
-#include "decomp/builder.hpp"
 #include "decomp/cutter.hpp"
-#include "graph/fingerprint.hpp"
 #include "io/snapshot.hpp"
 #include "net/channel.hpp"
 #include "net/protocol.hpp"
+#include "obs/event_journal.hpp"  // next_library_request_id under HGP_OBS=OFF
 #include "obs/obs.hpp"
-#include "runtime/forest_cache.hpp"
 #include "util/prng.hpp"
 #include "util/sync.hpp"
+#include "util/timer.hpp"
 
 extern char** environ;
 
@@ -97,7 +96,7 @@ struct ShardCoordinator::Impl {
   SolveCheckpoint* checkpoint = nullptr;
   std::vector<net::Socket> adopted;
   std::vector<std::byte> job_payload;
-  CachedForest forest;  ///< held so the final solve_hgp re-finds it cached
+  CachedForest forest;  ///< the forest stage's forest, shipped to shards
   std::uint64_t fingerprint = 0;
   std::uint64_t rid = 0;
   Deadline deadline;
@@ -116,33 +115,10 @@ struct ShardCoordinator::Impl {
 
   // ------------------------------------------------------- stage 1: the job
 
-  /// Builds the decomposition forest exactly as solve_hgp's stage 1 does
-  /// (same cache, same key) and serializes the instance into the Job
-  /// payload every shard receives.  Throws on forest failure — the caller
-  /// skips distribution and lets the final solve_hgp reproduce the failure
-  /// (or its fallback chain) so sharded and single-process behaviour stay
-  /// aligned.
+  /// Serializes the instance and the forest-stage forest into the Job
+  /// payload every shard receives, and cuts the forest into batches.
   void build_job() {
     const FmCutter default_cutter;
-    const Cutter& cutter = opt.cutter != nullptr ? *opt.cutter : default_cutter;
-
-    ForestCache& cache = ForestCache::global();
-    const ForestCacheKey key{fingerprint, opt.seed, opt.num_trees,
-                             cutter.name()};
-    if (cache.enabled()) forest = cache.find(key);
-    if (forest == nullptr) {
-      ExecContext exec;
-      exec.deadline = deadline;
-      exec.cancel = opt.cancel;
-      forest = std::make_shared<const std::vector<DecompTree>>(
-          build_decomposition_forest(g, opt.num_trees, opt.seed, cutter,
-                                     opt.pool, &exec));
-      if (cache.enabled()) cache.insert(key, forest);
-    }
-    if (forest->empty()) {
-      throw SolveError(StatusCode::kInternal, "forest sampling yielded no trees");
-    }
-
     io::SnapshotWriter w;
     io::append_graph_sections(w, g);
     io::append_hierarchy_sections(w, h);
@@ -150,7 +126,8 @@ struct ShardCoordinator::Impl {
     meta.graph_fingerprint = fingerprint;
     meta.seed = opt.seed;
     meta.num_trees = opt.num_trees;
-    meta.cutter = cutter.name();
+    meta.cutter =
+        (opt.cutter != nullptr ? *opt.cutter : default_cutter).name();
     io::append_forest_sections(w, meta, *forest);
 
     net::JobMsg job;
@@ -284,7 +261,7 @@ struct ShardCoordinator::Impl {
     for (net::TreeResultWire& tree : res.trees) {
       if (tree.status != static_cast<std::uint8_t>(StatusCode::kOk)) {
         // The tree failed remotely; leaving it out of the checkpoint makes
-        // the final solve_hgp re-attempt it in-process, which is exactly
+        // the final aggregation re-attempt it in-process, which is exactly
         // what per-tree fault isolation does locally.
         HGP_COUNTER_ADD("shard.remote_tree_failures", 1);
         continue;
@@ -572,50 +549,33 @@ struct ShardCoordinator::Impl {
                        "ShardCoordinator::solve() may run only once");
     }
     solved = true;
-    // Mirror solve_hgp's argument contract up front so a bad request fails
-    // before any process is spawned.
-    if (!g.has_demands()) {
-      throw SolveError(StatusCode::kInvalidInput,
-                       "HGP instances require vertex demands");
-    }
-    if (opt.num_trees < 1) {
-      throw SolveError(StatusCode::kInvalidInput, "num_trees must be >= 1");
-    }
-    if (opt.timeout_ms < 0) {
-      throw SolveError(StatusCode::kInvalidInput, "timeout_ms must be >= 0");
-    }
-    if (opt.epsilon <= 0) {
-      throw SolveError(StatusCode::kInvalidInput, "epsilon must be > 0");
-    }
+    // solve_hgp's argument contract, checked before any process is spawned.
+    check_solve_args(g, h, opt.num_trees, opt.timeout_ms, opt.epsilon);
     if (copt.lease_ms <= 0) {
       throw SolveError(StatusCode::kInvalidInput, "lease_ms must be > 0");
     }
 
+    HGP_TRACE_SPAN_ARG("solve", g.vertex_count());
+    HGP_COUNTER_ADD("solver.solves", 1);
+    const Timer total_timer;
     rid = obs::next_library_request_id();
-    deadline = opt.timeout_ms > 0 ? Deadline::after_ms(opt.timeout_ms)
-                                  : Deadline::never();
+    const ExecContext exec =
+        ExecContext::with_budget(opt.timeout_ms, opt.cancel);
+    deadline = exec.deadline;
     checkpoint = opt.checkpoint != nullptr ? opt.checkpoint : &local_checkpoint;
-    fingerprint = graph_fingerprint(g);
-    checkpoint->bind(CheckpointKey{fingerprint, opt.seed, opt.num_trees,
-                                   opt.epsilon, opt.units_override});
     checkpoint->set_request_context(rid, 0);
+    SolverOptions run_opt = opt;
+    run_opt.checkpoint = checkpoint;
 
-    bool distributed = true;
-    try {
-      build_job();
-    } catch (const SolveError& e) {
-      if (e.status().code == StatusCode::kCancelled ||
-          e.status().code == StatusCode::kInvalidInput) {
-        throw;
-      }
-      // Forest construction failed: there is nothing to distribute, and the
-      // final solve_hgp below will hit the identical failure and classify /
-      // degrade it exactly as a single-process solve would.
-      distributed = false;
-    }
-
-    if (distributed) {
+    // solve_hgp's own forest stage.  When it fails there is nothing to
+    // distribute: complete_solve below classifies / degrades the failure
+    // exactly as a single-process solve would.
+    const ForestStage stage = run_forest_stage(g, run_opt, exec);
+    forest = stage.forest;
+    fingerprint = stage.fingerprint;
+    if (stage.status.ok()) {
       try {
+        build_job();
         start_shards();
         supervise();
       } catch (...) {
@@ -629,20 +589,18 @@ struct ShardCoordinator::Impl {
       const MutexLock lock(mu);
       report.degraded_inprocess =
           checkpoint->size() <
-          (forest != nullptr ? forest->size()
+          (stage.status.ok() ? forest->size()
                              : static_cast<std::size_t>(opt.num_trees));
     }
 
-    // Final aggregation IS solve_hgp: every shard-delivered tree is served
-    // from the checkpoint without re-running its DP, every missing tree is
-    // solved in-process, and stage 3's arg-min + fallback classification
-    // run unmodified — which is the whole bit-identity argument.
-    SolverOptions final_opt = opt;
-    final_opt.checkpoint = checkpoint;
-    if (opt.timeout_ms > 0) {
-      final_opt.timeout_ms = std::max(deadline.remaining_ms(), 0.001);
-    }
-    return solve_hgp(g, h, final_opt);
+    // Final aggregation is solve_hgp's tree stage and fallback chain on the
+    // forest the shards solved: every shard-delivered tree is served from
+    // the checkpoint without re-running its DP, every missing tree is
+    // solved in-process, and the arg-min + failure classification run
+    // unmodified — which is the whole bit-identity argument.
+    HgpResult result = complete_solve(g, h, run_opt, stage, exec);
+    result.telemetry.total_ms = total_timer.millis();
+    return result;
   }
 };
 

@@ -24,13 +24,15 @@
 // Correctness bar (enforced by tests/test_shard_differential.cpp): the
 // coordinated result is bit-identical to single-process solve_hgp on the
 // same instance under ANY seeded kill/partition schedule.  The mechanism
-// is shared code, not matched re-implementation: accepted shard results
+// is shared code, not matched re-implementation: the forest comes from
+// solve_hgp's own forest stage (run_forest_stage), accepted shard results
 // are recorded into a SolveCheckpoint (each computed remotely by
 // solve_forest_tree, the exact per-tree path solve_hgp runs), and the
-// final aggregation IS solve_hgp consuming that checkpoint — arg-min
-// tie-breaking, degradation classification and fallback chain included.
-// Trees the shards never delivered are simply absent from the checkpoint
-// and solve_hgp solves them in-process.
+// final aggregation is solve_hgp's tree stage and fallback chain
+// (complete_solve) on that same forest, consuming the checkpoint — arg-min
+// tie-breaking and degradation classification included.  Trees the shards
+// never delivered are simply absent from the checkpoint and are solved
+// in-process.
 #pragma once
 
 #include <cstdint>

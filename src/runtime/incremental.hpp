@@ -13,10 +13,11 @@
 //      are grafted next to their heaviest surviving neighbor — subtrees
 //      the mutation never touches keep their exact shape, weights and
 //      node order;
-//   2. the DP re-solves every tree with the previous solve's clean-subtree
-//      tables (DpReuseStore, core/tree_dp.hpp): untouched subtrees are
-//      rehydrated instead of re-merged, so DP work scales with the dirty
-//      region, not the graph;
+//   2. solve_on_forest (runtime/solver.hpp) runs solve_hgp's own tree
+//      stage on the patched forest, handing every tree's DP the previous
+//      solve's clean-subtree tables (DpReuseStore, core/tree_dp.hpp):
+//      untouched subtrees are rehydrated instead of re-merged, so DP work
+//      scales with the dirty region, not the graph;
 //   3. the result is committed atomically — graph snapshot, forest, reuse
 //      stores and last placement advance together, and only on success.
 //
@@ -31,6 +32,9 @@
 // runtime/service.hpp) wraps an IncrementalSolver in a session with its
 // own lock and runs resolves through the normal admission/retry/watchdog
 // machinery.
+//
+// solve_on_forest and ForestSolveOptions are declared in
+// runtime/solver.hpp, which this header includes.
 #pragma once
 
 #include <cstdint>
@@ -42,50 +46,6 @@
 #include "runtime/solver.hpp"
 
 namespace hgp {
-
-/// Options for solve_on_forest(): SolverOptions minus the forest-sampling
-/// knobs (the caller supplies the forest), plus the per-tree reuse hooks.
-struct ForestSolveOptions {
-  double epsilon = 0.25;
-  /// Demand-unit override (0 = derive ⌈n/ε⌉ from the solved graph).  The
-  /// incremental path always pins this (see IncrementalOptions) so demand
-  /// rounding does not drift as vertices churn.
-  DemandUnits units_override = 0;
-  /// Checkpoint-identity seed.  The forest is supplied rather than
-  /// sampled, so the seed only distinguishes checkpoint bindings of
-  /// otherwise-identical solves.
-  std::uint64_t seed = 1;
-  /// Pool for solving trees concurrently; nullptr = sequential.
-  ThreadPool* pool = nullptr;
-  /// Wall-clock budget in ms (0 = unbounded) and cooperative cancel.
-  double timeout_ms = 0;
-  const CancelToken* cancel = nullptr;
-  /// Completed-tree store shared across retries of one logical request
-  /// (same validation + bind semantics as solve_hgp).  Must outlive the
-  /// call.
-  SolveCheckpoint* checkpoint = nullptr;
-  /// Forces DP dominance pruning ON (memory-pressure degrade).  NOTE: the
-  /// pruning flag is part of DpReuseStore compatibility, so toggling it
-  /// between solves turns reuse off for that solve.
-  bool force_prune = false;
-  /// Clean-subtree stores, parallel to the forest (reuse_in->size() ==
-  /// forest.size() when non-null).  reuse_out is resized to the forest and
-  /// receives the tables of every tree whose DP actually ran; trees served
-  /// from the checkpoint leave their slot empty (they carry no tables, so
-  /// the next resolve rebuilds them in full).  Must outlive the call.
-  const std::vector<DpReuseStore>* reuse_in = nullptr;
-  std::vector<DpReuseStore>* reuse_out = nullptr;
-};
-
-/// Solves HGP on a FIXED forest: per-tree isolated solves (same fault
-/// isolation, checkpoint lookup/record and map-back as solve_hgp's stage
-/// 2) and the Theorem-7 arg-min.  No fallback chain and no resampling —
-/// this is the primitive both arms of the churn differential share, so a
-/// total failure throws the classified SolveError instead of degrading.
-/// Requires vertex demands on `g` and a non-empty forest over `g`.
-HgpResult solve_on_forest(const Graph& g, const Hierarchy& h,
-                          const std::vector<DecompTree>& forest,
-                          const ForestSolveOptions& opt = {});
 
 /// Construction-time knobs of an IncrementalSolver.  All of them are
 /// pinned for the solver's lifetime: resolves must keep the checkpoint /

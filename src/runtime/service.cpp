@@ -323,6 +323,11 @@ SolverService::SolverService(ServiceOptions opt) : opt_(std::move(opt)) {
     if (env != nullptr) socket_path = env;
   }
   if (!socket_path.empty()) {
+    // Register the service gauges (an add of 0 leaves their values alone)
+    // so a /metrics scrape that lands before the first submit still sees
+    // the service's series instead of an empty exposition.
+    HGP_GAUGE_ADD("service.queue_depth", 0);
+    HGP_GAUGE_ADD("service.inflight", 0);
     try {
       obs::IntrospectOptions iopt;
       iopt.socket_path = socket_path;

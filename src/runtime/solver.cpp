@@ -2,13 +2,14 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 #include <utility>
 
 #include "baseline/greedy.hpp"
 #include "baseline/multilevel.hpp"
+#include "graph/fingerprint.hpp"
 #include "obs/event_journal.hpp"  // stage constants under HGP_OBS=OFF
 #include "obs/obs.hpp"
-#include "runtime/forest_cache.hpp"
 #include "parallel/parallel_for.hpp"
 #include "util/contracts.hpp"
 #include "util/fault_injector.hpp"
@@ -41,16 +42,14 @@ ForestTreeResult solve_forest_tree(const Graph& g, const Hierarchy& h,
 
 namespace {
 
-using TreeOutcome = ForestTreeResult;
-
-/// Aggregates a full primary-pipeline failure into the one status the
-/// caller should see: a gone deadline dominates (the trees were killed, not
-/// broken), then a forest-build failure, then "every tree infeasible",
+/// Aggregates a full tree-stage failure into the one status the caller
+/// should see: a gone deadline dominates (the trees were killed, not
+/// broken), then a forest-stage failure, then "every tree infeasible",
 /// then memory-budget exhaustion (the degradation ladder keys off it),
 /// then the first internal error.
 Status classify_total_failure(const ExecContext& exec,
-                              const Status& forest_status,
-                              const std::vector<TreeAttempt>& attempts) {
+                              const std::vector<TreeAttempt>& attempts,
+                              const Status& forest_status = Status()) {
   if (exec.deadline.expired()) {
     return Status(StatusCode::kDeadlineExceeded,
                   "deadline expired before any tree solve completed");
@@ -79,6 +78,171 @@ Status classify_total_failure(const ExecContext& exec,
     }
   }
   return Status(StatusCode::kInternal, "no decomposition trees were solved");
+}
+
+/// A checkpointed tree may have been recovered from disk or delivered by a
+/// shard, so it is re-validated against THIS instance before it is
+/// trusted: a placement of the wrong size or with out-of-range leaves (a
+/// spill that survived its CRCs but matched a different run, or hostile
+/// bytes) is treated as a miss and the tree is simply re-solved.
+bool checkpoint_fits(const Graph& g, const Hierarchy& h,
+                     const CheckpointedTree& ck) {
+  if (ck.placement.leaf_of.size() !=
+          static_cast<std::size_t>(g.vertex_count()) ||
+      !std::isfinite(ck.cost)) {
+    return false;
+  }
+  for (const LeafId leaf : ck.placement.leaf_of) {
+    if (leaf < 0 || leaf >= h.leaf_count()) return false;
+  }
+  return true;
+}
+
+/// The tree stage every entry point shares.  Stage 2: one isolated attempt
+/// per tree — Theorem 7's arg-min is over whatever survives, so nothing a
+/// single tree does (throw, stall past the deadline, report infeasibility)
+/// may escape its attempt record.  Stage 3: the arg-min and the telemetry
+/// fold.  result.best_tree < 0 means no tree survived; the caller
+/// classifies that.  The deadline and cancel token come from `exec`, not
+/// from opt.timeout_ms / opt.cancel; `entry` names the caller in the
+/// cancellation error.
+HgpResult run_tree_stage(const Graph& g, const Hierarchy& h,
+                         const std::vector<DecompTree>& forest,
+                         const ForestSolveOptions& opt,
+                         const ExecContext& exec, const char* entry) {
+  TreeSolverOptions base_opt;
+  base_opt.epsilon = opt.epsilon;
+  base_opt.units_override = opt.units_override;
+  // The DP itself may also fan subtrees across the pool; when the attempts
+  // below already occupy the workers, its is_worker_thread() guard keeps
+  // each tree's DP sequential, so sharing the pool cannot deadlock.
+  base_opt.pool = opt.pool;
+  base_opt.exec = &exec;
+  base_opt.force_prune = opt.force_prune;
+  if (opt.reuse_out != nullptr) {
+    opt.reuse_out->assign(forest.size(), DpReuseStore{});
+  }
+
+  HgpResult result;
+  std::vector<ForestTreeResult> outcomes(forest.size());
+  result.attempts.assign(forest.size(), TreeAttempt{});
+  auto run = [&](std::size_t i) {
+    TreeAttempt& attempt = result.attempts[i];
+    HGP_TRACE_SPAN_ARG("tree.attempt", i);
+    Timer timer;
+    try {
+      CheckpointedTree ck;
+      if (opt.checkpoint != nullptr &&
+          opt.checkpoint->lookup(static_cast<int>(i), &ck) &&
+          checkpoint_fits(g, h, ck)) {
+        // A previous attempt of this request already solved tree i — the
+        // subproblem is deterministic in the checkpoint key, so reuse the
+        // recorded placement instead of re-running the DP.  No DP runs, so
+        // the tree's reuse_out slot stays empty: checkpoints carry
+        // placements, not DP tables.
+        outcomes[i].placement = std::move(ck.placement);
+        outcomes[i].cost = ck.cost;
+        outcomes[i].stats = ck.stats;
+        attempt.from_checkpoint = true;
+        HGP_COUNTER_ADD("solver.checkpoint_trees", 1);
+      } else {
+        FaultInjector::instance().on_site("solve_one_tree",
+                                          static_cast<int>(i));
+        exec.check("tree solve start");
+        TreeSolverOptions tree_opt = base_opt;
+        if (opt.reuse_in != nullptr) tree_opt.reuse_in = &(*opt.reuse_in)[i];
+        if (opt.reuse_out != nullptr) {
+          tree_opt.reuse_out = &(*opt.reuse_out)[i];
+        }
+        outcomes[i] = solve_forest_tree(g, h, forest[i], tree_opt);
+        if (opt.checkpoint != nullptr) {
+          opt.checkpoint->record(
+              static_cast<int>(i),
+              CheckpointedTree{outcomes[i].placement, outcomes[i].cost,
+                               outcomes[i].stats});
+        }
+      }
+      attempt.status = StatusCode::kOk;
+      attempt.cost = outcomes[i].cost;
+    } catch (...) {
+      const Status s = status_from_current_exception();
+      attempt.status = s.code;
+      attempt.error = s.message;
+    }
+    attempt.elapsed_ms = timer.millis();
+  };
+  // No exec on this loop: isolation happens inside `run`, and the loop
+  // itself must visit every index so every attempt is recorded.
+  {
+    HGP_TRACE_SPAN_ARG("solve.trees", forest.size());
+    Timer trees_timer;
+    if (opt.pool != nullptr) {
+      parallel_for(*opt.pool, 0, forest.size(), run);
+    } else {
+      for (std::size_t i = 0; i < forest.size(); ++i) run(i);
+    }
+    result.telemetry.tree_solve_ms = trees_timer.millis();
+  }
+
+  if (exec.cancelled()) {
+    throw SolveError(StatusCode::kCancelled,
+                     std::string(entry) + " cancelled");
+  }
+
+  // Post-tree fault hook: by now every completed tree is checkpointed, so
+  // a fault injected here models the worst checkpoint-resume case — the
+  // attempt dies with all its tree work banked (tests and the chaos
+  // harness use it to force a resume that skips completed trees).  The
+  // injected CheckError is classified here so the entry points keep their
+  // only-typed-errors contract.
+  try {
+    FaultInjector::instance().on_site("solve_finalize", 0);
+  } catch (const SolveError&) {
+    throw;
+  } catch (...) {
+    throw SolveError(status_from_current_exception());
+  }
+
+  // Stage 3: arg-min over the survivors.
+  result.telemetry.trees_attempted = narrow<int>(result.attempts.size());
+  result.tree_costs.reserve(result.attempts.size());
+  for (std::size_t i = 0; i < result.attempts.size(); ++i) {
+    if (result.attempts[i].from_checkpoint) {
+      ++result.telemetry.checkpoint_trees;
+    }
+    if (result.attempts[i].ok()) {
+      ++result.telemetry.trees_succeeded;
+      const TreeDpStats& s = outcomes[i].stats;
+      result.telemetry.dp_signatures += s.signature_count;
+      result.telemetry.dp_feasible_states += s.feasible_states;
+      result.telemetry.dp_merge_operations += s.merge_operations;
+      result.telemetry.dp_merges_rejected += s.merges_rejected;
+      result.telemetry.dp_states_pruned += s.states_pruned;
+      result.telemetry.dp_nodes_built += s.nodes_built;
+      result.telemetry.dp_nodes_reused += s.nodes_reused;
+    } else {
+      HGP_COUNTER_ADD("solver.tree_failures", 1);
+    }
+    result.tree_costs.push_back(result.attempts[i].cost);
+    if (result.attempts[i].ok() &&
+        (result.best_tree < 0 ||
+         result.attempts[i].cost <
+             result.attempts[static_cast<std::size_t>(result.best_tree)]
+                 .cost)) {
+      result.best_tree = narrow<int>(i);
+    }
+  }
+  if (result.best_tree >= 0) {
+    ForestTreeResult& best =
+        outcomes[static_cast<std::size_t>(result.best_tree)];
+    result.placement = std::move(best.placement);
+    result.cost = best.cost;
+    result.stats = best.stats;
+    result.loads = load_report(g, h, result.placement);
+    result.method = SolveMethod::kHgp;
+    result.status = Status();
+  }
+  return result;
 }
 
 /// Runs the degradation chain (multilevel, then greedy) without a deadline:
@@ -144,241 +308,153 @@ const char* solve_method_name(SolveMethod method) {
   return "unknown";
 }
 
-HgpResult solve_hgp(const Graph& g, const Hierarchy& h,
-                    const SolverOptions& opt) {
+void check_solve_args(const Graph& g, const Hierarchy& h, int num_trees,
+                      double timeout_ms, double epsilon) {
   if (!g.has_demands()) {
     throw SolveError(StatusCode::kInvalidInput,
                      "HGP instances require vertex demands");
   }
-  if (opt.num_trees < 1) {
+  if (num_trees < 1) {
     throw SolveError(StatusCode::kInvalidInput, "num_trees must be >= 1");
   }
-  if (opt.timeout_ms < 0) {
+  if (timeout_ms < 0) {
     throw SolveError(StatusCode::kInvalidInput, "timeout_ms must be >= 0");
   }
-  if (opt.epsilon <= 0) {
+  if (epsilon <= 0) {
     throw SolveError(StatusCode::kInvalidInput, "epsilon must be > 0");
   }
-
   if (contracts_enabled()) validate_hierarchy(h);
+}
 
-  HGP_TRACE_SPAN_ARG("solve", g.vertex_count());
-  HGP_COUNTER_ADD("solver.solves", 1);
-  Timer total_timer;
-
-  ExecContext exec;
-  exec.deadline =
-      opt.timeout_ms > 0 ? Deadline::after_ms(opt.timeout_ms) : Deadline::never();
-  exec.cancel = opt.cancel;
-  exec.check("solve_hgp entry");
-
+ForestStage run_forest_stage(const Graph& g, const SolverOptions& opt,
+                             const ExecContext& exec) {
+  // Sampling is deterministic in (graph content, seed, count, cutter), so
+  // the global LRU cache can serve repeated solves of the same instance;
+  // the forest is held as a shared immutable snapshot either way.
+  HGP_TRACE_SPAN_ARG("solve.forest", opt.num_trees);
+  Timer forest_timer;
   const FmCutter default_cutter;
-  const Cutter& cutter =
-      opt.cutter != nullptr ? *opt.cutter : default_cutter;
-
-  HgpResult result;
-
-  // Stage 1: decomposition forest.  A failure here leaves zero trees, which
-  // the degradation logic below treats like "all trees failed".  Sampling
-  // is deterministic in (graph content, seed, count, cutter), so the
-  // global LRU cache can serve repeated solves of the same instance; the
-  // forest is held as a shared immutable snapshot either way.
-  CachedForest forest_ptr;
-  Status forest_status;
-  {
-    HGP_TRACE_SPAN_ARG("solve.forest", opt.num_trees);
-    Timer forest_timer;
-    ForestCache& cache = ForestCache::global();
-    ForestCacheKey key;
-    std::uint64_t fingerprint = 0;
-    if (cache.enabled() || opt.checkpoint != nullptr) {
-      fingerprint = graph_fingerprint(g);
-    }
-    // (Re)bind the checkpoint to this solve's parameters: retries with
-    // identical parameters resume recorded trees, a degraded retry (e.g.
-    // fewer trees) invalidates them — the forest it samples differs.
-    if (opt.checkpoint != nullptr) {
-      opt.checkpoint->bind(CheckpointKey{fingerprint, opt.seed, opt.num_trees,
-                                         opt.epsilon, opt.units_override});
-    }
-    if (cache.enabled()) {
-      key = ForestCacheKey{fingerprint, opt.seed, opt.num_trees,
-                           cutter.name()};
-      forest_ptr = cache.find(key);
-    }
-    if (forest_ptr != nullptr) {
-      result.telemetry.forest_cache_hit = true;
-    } else {
-      try {
-        forest_ptr = std::make_shared<const std::vector<DecompTree>>(
-            build_decomposition_forest(g, opt.num_trees, opt.seed, cutter,
-                                       opt.pool, &exec));
-        cache.insert(key, forest_ptr);
-      } catch (...) {
-        forest_status = status_from_current_exception();
-        if (forest_status.code == StatusCode::kCancelled) throw;
-        forest_ptr = std::make_shared<const std::vector<DecompTree>>();
-      }
-    }
-    result.telemetry.forest_build_ms = forest_timer.millis();
+  const Cutter& cutter = opt.cutter != nullptr ? *opt.cutter : default_cutter;
+  ForestCache& cache = ForestCache::global();
+  ForestStage stage;
+  if (cache.enabled() || opt.checkpoint != nullptr) {
+    stage.fingerprint = graph_fingerprint(g);
   }
-  const std::vector<DecompTree>& forest = *forest_ptr;
+  // (Re)bind the checkpoint to this solve's parameters: retries with
+  // identical parameters resume recorded trees, a degraded retry (e.g.
+  // fewer trees) invalidates them — the forest it samples differs.
+  if (opt.checkpoint != nullptr) {
+    opt.checkpoint->bind(CheckpointKey{stage.fingerprint, opt.seed,
+                                       opt.num_trees, opt.epsilon,
+                                       opt.units_override});
+  }
+  const ForestCacheKey key{stage.fingerprint, opt.seed, opt.num_trees,
+                           cutter.name()};
+  if (cache.enabled()) stage.forest = cache.find(key);
+  stage.cache_hit = stage.forest != nullptr;
+  if (!stage.cache_hit) {
+    try {
+      stage.forest = std::make_shared<const std::vector<DecompTree>>(
+          build_decomposition_forest(g, opt.num_trees, opt.seed, cutter,
+                                     opt.pool, &exec));
+      cache.insert(key, stage.forest);
+    } catch (...) {
+      // A failure here leaves zero trees, which complete_solve treats like
+      // "all trees failed".
+      stage.status = status_from_current_exception();
+      if (stage.status.code == StatusCode::kCancelled) throw;
+      stage.forest = std::make_shared<const std::vector<DecompTree>>();
+    }
+  }
+  stage.build_ms = forest_timer.millis();
+  return stage;
+}
+
+HgpResult complete_solve(const Graph& g, const Hierarchy& h,
+                         const SolverOptions& opt, const ForestStage& stage,
+                         const ExecContext& exec) {
+  const std::vector<DecompTree>& forest = *stage.forest;
   HGP_COUNTER_ADD("solver.trees_sampled",
                   static_cast<std::int64_t>(forest.size()));
-
-  TreeSolverOptions tree_opt;
+  ForestSolveOptions tree_opt;
   tree_opt.epsilon = opt.epsilon;
   tree_opt.units_override = opt.units_override;
-  // The DP itself may also fan subtrees across the pool; when the attempts
-  // below already occupy the workers, its is_worker_thread() guard keeps
-  // each tree's DP sequential, so sharing the pool cannot deadlock.
   tree_opt.pool = opt.pool;
-  tree_opt.exec = &exec;
+  tree_opt.checkpoint = opt.checkpoint;
   tree_opt.force_prune = opt.force_prune;
-
-  // Stage 2: isolated per-tree solves.  Theorem 7's arg-min is over
-  // whatever survives, so nothing a single tree does — throw, stall past
-  // the deadline, report infeasibility — may escape its attempt record.
-  std::vector<TreeOutcome> outcomes(forest.size());
-  result.attempts.assign(forest.size(), TreeAttempt{});
-  auto run = [&](std::size_t i) {
-    TreeAttempt& attempt = result.attempts[i];
-    HGP_TRACE_SPAN_ARG("tree.attempt", i);
-    Timer timer;
-    try {
-      CheckpointedTree ck;
-      bool from_checkpoint = opt.checkpoint != nullptr &&
-                             opt.checkpoint->lookup(static_cast<int>(i), &ck);
-      if (from_checkpoint) {
-        // Checkpoints may have been recovered from disk, so the entry is
-        // re-validated against THIS instance before it is trusted: a
-        // placement of the wrong size or with out-of-range leaves (a spill
-        // that survived its CRCs but matched a different run, or hostile
-        // bytes) is treated as a miss and the tree is simply re-solved.
-        from_checkpoint =
-            ck.placement.leaf_of.size() ==
-                static_cast<std::size_t>(g.vertex_count()) &&
-            std::isfinite(ck.cost);
-        for (std::size_t v = 0; from_checkpoint && v < ck.placement.leaf_of.size();
-             ++v) {
-          from_checkpoint =
-              ck.placement.leaf_of[v] >= 0 &&
-              ck.placement.leaf_of[v] < h.leaf_count();
-        }
-      }
-      if (from_checkpoint) {
-        // A previous attempt of this request already solved tree i — the
-        // subproblem is deterministic in the checkpoint key, so reuse the
-        // recorded placement instead of re-running the DP.
-        outcomes[i].placement = std::move(ck.placement);
-        outcomes[i].cost = ck.cost;
-        outcomes[i].stats = ck.stats;
-        attempt.status = StatusCode::kOk;
-        attempt.cost = outcomes[i].cost;
-        attempt.from_checkpoint = true;
-        HGP_COUNTER_ADD("solver.checkpoint_trees", 1);
-      } else {
-        FaultInjector::instance().on_site("solve_one_tree",
-                                          static_cast<int>(i));
-        exec.check("tree solve start");
-        outcomes[i] = solve_forest_tree(g, h, forest[i], tree_opt);
-        attempt.status = StatusCode::kOk;
-        attempt.cost = outcomes[i].cost;
-        if (opt.checkpoint != nullptr) {
-          opt.checkpoint->record(
-              static_cast<int>(i),
-              CheckpointedTree{outcomes[i].placement, outcomes[i].cost,
-                               outcomes[i].stats});
-        }
-      }
-    } catch (...) {
-      const Status s = status_from_current_exception();
-      attempt.status = s.code;
-      attempt.error = s.message;
-    }
-    attempt.elapsed_ms = timer.millis();
-  };
-  // No exec on this loop: isolation happens inside `run`, and the loop
-  // itself must visit every index so every attempt is recorded.
-  {
-    HGP_TRACE_SPAN_ARG("solve.trees", forest.size());
-    Timer trees_timer;
-    if (opt.pool != nullptr) {
-      parallel_for(*opt.pool, 0, forest.size(), run);
-    } else {
-      for (std::size_t i = 0; i < forest.size(); ++i) run(i);
-    }
-    result.telemetry.tree_solve_ms = trees_timer.millis();
-  }
-
-  if (exec.cancelled()) {
-    throw SolveError(StatusCode::kCancelled, "solve_hgp cancelled");
-  }
-
-  // Post-tree fault hook: by now every completed tree is checkpointed, so
-  // a fault injected here models the worst checkpoint-resume case — the
-  // attempt dies with all its tree work banked (tests and the chaos
-  // harness use it to force a resume that skips completed trees).  The
-  // injected CheckError is classified here so solve_hgp keeps its
-  // only-typed-errors contract.
-  try {
-    FaultInjector::instance().on_site("solve_finalize", 0);
-  } catch (const SolveError&) {
-    throw;
-  } catch (...) {
-    throw SolveError(status_from_current_exception());
-  }
-
-  // Stage 3: arg-min over the survivors.
-  result.telemetry.trees_attempted = narrow<int>(result.attempts.size());
-  result.tree_costs.reserve(result.attempts.size());
-  for (std::size_t i = 0; i < result.attempts.size(); ++i) {
-    if (result.attempts[i].from_checkpoint) {
-      ++result.telemetry.checkpoint_trees;
-    }
-    if (result.attempts[i].ok()) {
-      ++result.telemetry.trees_succeeded;
-      const TreeDpStats& s = outcomes[i].stats;
-      result.telemetry.dp_signatures += s.signature_count;
-      result.telemetry.dp_feasible_states += s.feasible_states;
-      result.telemetry.dp_merge_operations += s.merge_operations;
-      result.telemetry.dp_merges_rejected += s.merges_rejected;
-      result.telemetry.dp_states_pruned += s.states_pruned;
-      result.telemetry.dp_nodes_built += s.nodes_built;
-      result.telemetry.dp_nodes_reused += s.nodes_reused;
-    } else {
-      HGP_COUNTER_ADD("solver.tree_failures", 1);
-    }
-    result.tree_costs.push_back(result.attempts[i].cost);
-    if (result.attempts[i].ok() &&
-        (result.best_tree < 0 ||
-         result.attempts[i].cost <
-             result.attempts[static_cast<std::size_t>(result.best_tree)]
-                 .cost)) {
-      result.best_tree = narrow<int>(i);
-    }
-  }
-  if (result.best_tree >= 0) {
-    TreeOutcome& best = outcomes[static_cast<std::size_t>(result.best_tree)];
-    result.placement = std::move(best.placement);
-    result.cost = best.cost;
-    result.stats = best.stats;
-    result.loads = load_report(g, h, result.placement);
-    result.method = SolveMethod::kHgp;
-    result.status = Status();
-    result.telemetry.total_ms = total_timer.millis();
-    return result;
-  }
+  HgpResult result =
+      run_tree_stage(g, h, forest, tree_opt, exec, "solve_hgp");
+  result.telemetry.forest_build_ms = stage.build_ms;
+  result.telemetry.forest_cache_hit = stage.cache_hit;
+  if (result.best_tree >= 0) return result;
 
   // Stage 4: graceful degradation.
-  Status reason = classify_total_failure(exec, forest_status, result.attempts);
+  Status reason = classify_total_failure(exec, result.attempts, stage.status);
   if (opt.fallback == FallbackPolicy::kNone) {
     throw SolveError(std::move(reason));
   }
-  HgpResult degraded =
-      run_fallback_chain(g, h, opt, std::move(result), std::move(reason));
-  degraded.telemetry.total_ms = total_timer.millis();
-  return degraded;
+  return run_fallback_chain(g, h, opt, std::move(result), std::move(reason));
+}
+
+HgpResult solve_hgp(const Graph& g, const Hierarchy& h,
+                    const SolverOptions& opt) {
+  check_solve_args(g, h, opt.num_trees, opt.timeout_ms, opt.epsilon);
+  HGP_TRACE_SPAN_ARG("solve", g.vertex_count());
+  HGP_COUNTER_ADD("solver.solves", 1);
+  Timer total_timer;
+  const ExecContext exec =
+      ExecContext::with_budget(opt.timeout_ms, opt.cancel);
+  exec.check("solve_hgp entry");
+  HgpResult result =
+      complete_solve(g, h, opt, run_forest_stage(g, opt, exec), exec);
+  result.telemetry.total_ms = total_timer.millis();
+  return result;
+}
+
+HgpResult solve_on_forest(const Graph& g, const Hierarchy& h,
+                          const std::vector<DecompTree>& forest,
+                          const ForestSolveOptions& opt) {
+  if (forest.empty()) {
+    throw SolveError(StatusCode::kInvalidInput,
+                     "solve_on_forest requires a non-empty forest");
+  }
+  check_solve_args(g, h, narrow<int>(forest.size()), opt.timeout_ms,
+                   opt.epsilon);
+  for (const DecompTree& dt : forest) {
+    if (dt.graph_vertex_count() != g.vertex_count()) {
+      throw SolveError(StatusCode::kInvalidInput,
+                       "forest tree does not decompose the solved graph");
+    }
+  }
+  if (opt.reuse_in != nullptr && opt.reuse_in->size() != forest.size()) {
+    throw SolveError(StatusCode::kInvalidInput,
+                     "reuse_in must carry one store per forest tree");
+  }
+  if (opt.reuse_out != nullptr && opt.reuse_out == opt.reuse_in) {
+    throw SolveError(StatusCode::kInvalidInput,
+                     "reuse_in and reuse_out must not alias");
+  }
+
+  HGP_TRACE_SPAN_ARG("solve.on_forest", g.vertex_count());
+  Timer total_timer;
+  const ExecContext exec =
+      ExecContext::with_budget(opt.timeout_ms, opt.cancel);
+  exec.check("solve_on_forest entry");
+
+  // Same binding rule as solve_hgp: retries with identical parameters
+  // resume recorded trees; any parameter drift invalidates the store.
+  if (opt.checkpoint != nullptr) {
+    opt.checkpoint->bind(CheckpointKey{graph_fingerprint(g), opt.seed,
+                                       narrow<int>(forest.size()), opt.epsilon,
+                                       opt.units_override});
+  }
+  HgpResult result =
+      run_tree_stage(g, h, forest, opt, exec, "solve_on_forest");
+  if (result.best_tree < 0) {
+    throw SolveError(classify_total_failure(exec, result.attempts));
+  }
+  result.telemetry.total_ms = total_timer.millis();
+  return result;
 }
 
 }  // namespace hgp

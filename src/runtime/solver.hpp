@@ -6,6 +6,19 @@
 // leaf↔vertex bijection, evaluate the true Eq.-1 cost on G, and keep the
 // best (Theorem 7's arg-min over the tree family).
 //
+// Every entry point runs the same two stages, both defined once in
+// solver.cpp:
+//   * the forest stage (run_forest_stage) serves the forest from
+//     ForestCache::global() or samples it;
+//   * the tree stage solves each tree in isolation (checkpoint lookup,
+//     fault site, solve_forest_tree, checkpoint record, DP reuse hooks),
+//     takes the arg-min and folds the telemetry.
+// solve_hgp is forest stage → tree stage → fallback chain.
+// solve_on_forest is the tree stage alone, on a forest the caller supplies
+// (the incremental solver's patched forest).  ShardCoordinator runs the
+// forest stage, farms trees out to shards that return them through the
+// checkpoint, then finishes with complete_solve on the forest it holds.
+//
 // Resilience semantics: the arg-min only needs ONE surviving tree, so each
 // per-tree solve is fault-isolated — a throw, an injected fault, or a
 // deadline expiry inside tree k is recorded in HgpResult::attempts[k] and
@@ -28,6 +41,7 @@
 #include "hierarchy/placement.hpp"
 #include "obs/telemetry.hpp"
 #include "runtime/checkpoint.hpp"
+#include "runtime/forest_cache.hpp"
 #include "util/deadline.hpp"
 #include "util/status.hpp"
 
@@ -128,12 +142,87 @@ struct HgpResult {
   bool degraded() const { return method != SolveMethod::kHgp; }
 };
 
+/// The argument contract every entry point shares: vertex demands on `g`,
+/// num_trees >= 1, timeout_ms >= 0, epsilon > 0 (SolveError kInvalidInput
+/// otherwise), plus hierarchy validation when contracts are on.
+void check_solve_args(const Graph& g, const Hierarchy& h, int num_trees,
+                      double timeout_ms, double epsilon);
+
 /// Requires vertex demands on `g`.  Returns a placement whenever any tree
 /// survives or the fallback chain produces one; throws SolveError
 /// (kInvalidInput / kCancelled / kInfeasible / kDeadlineExceeded /
 /// kInternal) otherwise.
 HgpResult solve_hgp(const Graph& g, const Hierarchy& h,
                     const SolverOptions& opt = {});
+
+/// Options for solve_on_forest(): SolverOptions minus the forest-sampling
+/// knobs (the caller supplies the forest), plus the per-tree reuse hooks.
+struct ForestSolveOptions {
+  double epsilon = 0.25;
+  /// Demand-unit override (0 = derive ⌈n/ε⌉ from the solved graph).  The
+  /// incremental path always pins this (see IncrementalOptions) so demand
+  /// rounding does not drift as vertices churn.
+  DemandUnits units_override = 0;
+  /// Checkpoint-identity seed.  The forest is supplied rather than
+  /// sampled, so the seed only distinguishes checkpoint bindings of
+  /// otherwise-identical solves.
+  std::uint64_t seed = 1;
+  /// Pool for solving trees concurrently; nullptr = sequential.
+  ThreadPool* pool = nullptr;
+  /// Wall-clock budget in ms (0 = unbounded) and cooperative cancel.
+  double timeout_ms = 0;
+  const CancelToken* cancel = nullptr;
+  /// Completed-tree store shared across retries of one logical request
+  /// (same validation + bind semantics as solve_hgp).  Must outlive the
+  /// call.
+  SolveCheckpoint* checkpoint = nullptr;
+  /// Forces DP dominance pruning ON (memory-pressure degrade).  NOTE: the
+  /// pruning flag is part of DpReuseStore compatibility, so toggling it
+  /// between solves turns reuse off for that solve.
+  bool force_prune = false;
+  /// Clean-subtree stores, parallel to the forest (reuse_in->size() ==
+  /// forest.size() when non-null).  reuse_out is resized to the forest and
+  /// receives the tables of every tree whose DP actually ran; trees served
+  /// from the checkpoint leave their slot empty (they carry no tables, so
+  /// the next resolve rebuilds them in full).  Must outlive the call.
+  const std::vector<DpReuseStore>* reuse_in = nullptr;
+  std::vector<DpReuseStore>* reuse_out = nullptr;
+};
+
+/// Solves HGP on a FIXED forest: solve_hgp's tree stage (same fault
+/// isolation, checkpoint lookup/record, map-back and Theorem-7 arg-min)
+/// without its forest stage or fallback chain — this is the primitive both
+/// arms of the churn differential share, so a total failure throws the
+/// classified SolveError instead of degrading.  Requires vertex demands on
+/// `g` and a non-empty forest over `g`.
+HgpResult solve_on_forest(const Graph& g, const Hierarchy& h,
+                          const std::vector<DecompTree>& forest,
+                          const ForestSolveOptions& opt = {});
+
+/// solve_hgp's forest stage, for callers that need the forest before the
+/// trees are solved (ShardCoordinator ships it to its shards).  Binds
+/// opt.checkpoint to this solve's parameters, then serves the forest from
+/// ForestCache::global() or samples it under `exec` and offers it to the
+/// cache.  Only cancellation throws: any other sampling failure lands in
+/// `status` with an empty forest, and complete_solve classifies it.
+struct ForestStage {
+  CachedForest forest;  ///< never null
+  Status status;
+  /// Content fingerprint of `g`; 0 when neither the cache nor a
+  /// checkpoint needed it.
+  std::uint64_t fingerprint = 0;
+  bool cache_hit = false;
+  double build_ms = 0;
+};
+ForestStage run_forest_stage(const Graph& g, const SolverOptions& opt,
+                             const ExecContext& exec);
+
+/// solve_hgp after its forest stage: the tree stage on `stage.forest`
+/// (trees already in opt.checkpoint are served from it), then the fallback
+/// chain when no tree survives.  Leaves telemetry.total_ms to the caller.
+HgpResult complete_solve(const Graph& g, const Hierarchy& h,
+                         const SolverOptions& opt, const ForestStage& stage,
+                         const ExecContext& exec);
 
 /// One tree of the forest, solved exactly as solve_hgp's per-tree stage
 /// solves it: HGPT DP on the tree, mapped back to G through the

@@ -114,6 +114,14 @@ struct ExecContext {
   Deadline deadline;
   const CancelToken* cancel = nullptr;
 
+  /// The context of a solve with a `timeout_ms` budget (0 = unbounded).
+  static ExecContext with_budget(double timeout_ms,
+                                 const CancelToken* cancel) {
+    return {timeout_ms > 0 ? Deadline::after_ms(timeout_ms)
+                           : Deadline::never(),
+            cancel};
+  }
+
   bool cancelled() const { return cancel != nullptr && cancel->cancelled(); }
 
   /// Throws SolveError{kCancelled|kDeadlineExceeded} when the budget is

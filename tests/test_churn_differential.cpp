@@ -12,16 +12,26 @@
 // incremental arm re-merges only dirty subtrees.  Any mismatch prints the
 // seed so the instance and its schedule replay in isolation, mirroring
 // tests/test_dp_differential.cpp.
+//
+// The scratch arm is solve_on_forest, so the suite also pins it to
+// solve_hgp: both entry points run the same tree stage, and on the same
+// forest they must agree bit for bit — plain, with one tree killed, resumed
+// from a checkpoint, and in how they report a total failure.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "churn_schedule.hpp"
+#include "decomp/cutter.hpp"
 #include "graph/fingerprint.hpp"
 #include "hierarchy/placement.hpp"
+#include "runtime/forest_cache.hpp"
 #include "runtime/incremental.hpp"
+#include "util/fault_injector.hpp"
 #include "util/status.hpp"
 
 namespace hgp {
@@ -247,6 +257,140 @@ TEST(ChurnDifferential, ReusePinsPruneFlagCompatibility) {
       solve_on_forest(*solver.graph(), inst.hierarchy, solver.forest(), fo);
   ASSERT_EQ(inc.cost, scratch.cost);
   ASSERT_EQ(inc.placement.leaf_of, scratch.placement.leaf_of);
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// solve_hgp and solve_on_forest must leave no trace of which one ran:
+/// same answer, same per-tree record, same DP work.
+void expect_same_solve(const HgpResult& hgp, const HgpResult& fixed) {
+  EXPECT_TRUE(same_bits(hgp.cost, fixed.cost))
+      << hgp.cost << " vs " << fixed.cost;
+  EXPECT_EQ(hgp.placement.leaf_of, fixed.placement.leaf_of);
+  EXPECT_EQ(hgp.best_tree, fixed.best_tree);
+  ASSERT_EQ(hgp.tree_costs.size(), fixed.tree_costs.size());
+  for (std::size_t i = 0; i < hgp.tree_costs.size(); ++i) {
+    EXPECT_TRUE(same_bits(hgp.tree_costs[i], fixed.tree_costs[i]))
+        << "tree " << i;
+  }
+  ASSERT_EQ(hgp.attempts.size(), fixed.attempts.size());
+  for (std::size_t i = 0; i < hgp.attempts.size(); ++i) {
+    EXPECT_EQ(hgp.attempts[i].status, fixed.attempts[i].status)
+        << "tree " << i;
+    EXPECT_EQ(hgp.attempts[i].error, fixed.attempts[i].error) << "tree " << i;
+    EXPECT_EQ(hgp.attempts[i].from_checkpoint,
+              fixed.attempts[i].from_checkpoint)
+        << "tree " << i;
+  }
+  const SolveTelemetry& a = hgp.telemetry;
+  const SolveTelemetry& b = fixed.telemetry;
+  EXPECT_EQ(a.trees_attempted, b.trees_attempted);
+  EXPECT_EQ(a.trees_succeeded, b.trees_succeeded);
+  EXPECT_EQ(a.checkpoint_trees, b.checkpoint_trees);
+  EXPECT_EQ(a.dp_signatures, b.dp_signatures);
+  EXPECT_EQ(a.dp_feasible_states, b.dp_feasible_states);
+  EXPECT_EQ(a.dp_merge_operations, b.dp_merge_operations);
+  EXPECT_EQ(a.dp_merges_rejected, b.dp_merges_rejected);
+  EXPECT_EQ(a.dp_states_pruned, b.dp_states_pruned);
+  EXPECT_EQ(a.dp_nodes_built, b.dp_nodes_built);
+  EXPECT_EQ(a.dp_nodes_reused, b.dp_nodes_reused);
+}
+
+FaultInjector::Fault fault(FaultInjector::Action action) {
+  FaultInjector::Fault f;
+  f.action = action;
+  return f;
+}
+
+TEST(ChurnDifferential, SolveHgpAndSolveOnForestAgreeOnTheSameForest) {
+  if (!ForestCache::global().enabled()) {
+    GTEST_SKIP() << "needs the forest cache to hand solve_hgp's forest over";
+  }
+  const FmCutter cutter;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    const ChurnInstance inst = make_churn_instance(seed);
+    const Graph& g = *inst.graph;
+    SCOPED_TRACE(::testing::Message() << "seed=" << seed
+                                      << " n=" << g.vertex_count()
+                                      << " trees=" << inst.opt.num_trees);
+    SolverOptions so;
+    so.num_trees = inst.opt.num_trees;
+    so.epsilon = inst.opt.epsilon;
+    so.units_override = inst.opt.units_override;
+    so.seed = inst.opt.seed;
+    ForestSolveOptions fo;
+    fo.epsilon = so.epsilon;
+    fo.units_override = so.units_override;
+    fo.seed = so.seed;
+
+    const HgpResult plain = solve_hgp(g, inst.hierarchy, so);
+    const CachedForest forest = ForestCache::global().find(ForestCacheKey{
+        graph_fingerprint(g), so.seed, so.num_trees, cutter.name()});
+    ASSERT_NE(forest, nullptr);
+    expect_same_solve(plain, solve_on_forest(g, inst.hierarchy, *forest, fo));
+
+    {
+      // One tree killed: both record the same failed attempt and pick the
+      // same winner among the survivors.
+      const FaultScope kill("solve_one_tree", 1,
+                            fault(FaultInjector::Action::kThrow));
+      const HgpResult hgp = solve_hgp(g, inst.hierarchy, so);
+      ASSERT_EQ(hgp.attempts[1].status, StatusCode::kInternal);
+      expect_same_solve(hgp,
+                        solve_on_forest(g, inst.hierarchy, *forest, fo));
+    }
+
+    {
+      // Checkpoint resume: a first attempt with tree 0 killed banks the
+      // other trees; the retry serves them from the checkpoint and solves
+      // only tree 0.  The two entry points bind the same checkpoint key.
+      SolveCheckpoint hgp_ck;
+      SolveCheckpoint fixed_ck;
+      so.checkpoint = &hgp_ck;
+      fo.checkpoint = &fixed_ck;
+      {
+        const FaultScope kill("solve_one_tree", 0,
+                              fault(FaultInjector::Action::kThrow));
+        (void)solve_hgp(g, inst.hierarchy, so);
+        (void)solve_on_forest(g, inst.hierarchy, *forest, fo);
+      }
+      EXPECT_TRUE(hgp_ck.key() == fixed_ck.key());
+      const HgpResult resumed = solve_hgp(g, inst.hierarchy, so);
+      EXPECT_EQ(resumed.telemetry.checkpoint_trees, so.num_trees - 1);
+      expect_same_solve(resumed,
+                        solve_on_forest(g, inst.hierarchy, *forest, fo));
+      EXPECT_TRUE(same_bits(resumed.cost, plain.cost));
+      EXPECT_EQ(resumed.placement.leaf_of, plain.placement.leaf_of);
+      so.checkpoint = nullptr;
+      fo.checkpoint = nullptr;
+    }
+
+    {
+      // Every tree infeasible: solve_hgp without a fallback and
+      // solve_on_forest classify the total failure identically.
+      const FaultScope all("solve_one_tree", FaultInjector::kEveryIndex,
+                           fault(FaultInjector::Action::kInfeasible));
+      SolverOptions strict = so;
+      strict.fallback = FallbackPolicy::kNone;
+      Status from_hgp;
+      Status from_forest;
+      try {
+        (void)solve_hgp(g, inst.hierarchy, strict);
+      } catch (const SolveError& e) {
+        from_hgp = e.status();
+      }
+      try {
+        (void)solve_on_forest(g, inst.hierarchy, *forest, fo);
+      } catch (const SolveError& e) {
+        from_forest = e.status();
+      }
+      EXPECT_EQ(from_hgp.code, StatusCode::kInfeasible);
+      EXPECT_EQ(from_hgp.code, from_forest.code);
+      EXPECT_EQ(from_hgp.message, from_forest.message);
+    }
+  }
 }
 
 }  // namespace

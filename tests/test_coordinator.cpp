@@ -16,8 +16,10 @@
 #include "net/protocol.hpp"
 #include "net/socket.hpp"
 #include "obs/event_journal.hpp"
+#include "obs/metrics.hpp"
 #include "runtime/checkpoint.hpp"
 #include "runtime/coordinator.hpp"
+#include "runtime/forest_cache.hpp"
 #include "runtime/shard_server.hpp"
 #include "util/deadline.hpp"
 #include "util/prng.hpp"
@@ -416,6 +418,35 @@ TEST(Coordinator, SharedCheckpointKeepsShardTrees) {
   expect_bit_identical(resumed, got);
   for (const TreeAttempt& a : resumed.attempts) {
     EXPECT_TRUE(a.from_checkpoint);
+  }
+}
+
+TEST(Coordinator, ShardedSolveSamplesTheForestOnce) {
+  // The final aggregation solves the forest the shards were sent; it never
+  // samples it again, even when the cache cannot hold it.  ctest also runs
+  // this test with HGP_FOREST_CACHE=0 (tests/CMakeLists.txt); with the
+  // cache on, clearing it makes every solve a miss just the same.
+  const Graph g = workload(23);
+  const HgpResult baseline = solve_hgp(g, hier(), base_options(23));
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE(::testing::Message() << "round=" << round);
+    ForestCache::global().clear();
+    const std::uint64_t built_before =
+        obs::MetricsRegistry::global().counter_value("decomp.trees_built");
+    std::deque<ShardThread> pool;
+    ShardCoordinator coord(g, hier(), base_options(23), CoordinatorOptions{});
+    coord.adopt_shard(start_shard(pool));
+    const HgpResult got = coord.solve();
+    expect_bit_identical(got, baseline);
+    EXPECT_EQ(coord.report().trees_from_shards, 4);
+#if HGP_OBS_ENABLED
+    EXPECT_EQ(obs::MetricsRegistry::global().counter_value(
+                  "decomp.trees_built") -
+                  built_before,
+              4u);
+#else
+    (void)built_before;
+#endif
   }
 }
 

@@ -10,6 +10,9 @@
 #include <cstring>
 #include <deque>
 #include <functional>
+#include <future>
+#include <memory>
+#include <mutex>
 #include <thread>
 
 #include "graph/fingerprint.hpp"
@@ -33,13 +36,33 @@ struct ShardThread {
   }
 };
 
+/// One-shot gate between the two shards of a fault schedule.  The honest
+/// shard starts serving only once the faulty shard holds its first
+/// assignment; otherwise a fast honest shard can finish every batch while
+/// the faulty one is still handshaking, and the fault never lands on work.
+/// The wait is capped below the coordinator's 10 s handshake timeout so a
+/// faulty shard that dies before its assignment cannot wedge the solve.
+class Gate {
+ public:
+  void open() {
+    std::call_once(once_, [this] { promise_.set_value(); });
+  }
+  void wait() const { (void)opened_.wait_for(std::chrono::seconds(5)); }
+
+ private:
+  std::promise<void> promise_;
+  std::shared_future<void> opened_ = promise_.get_future().share();
+  std::once_flag once_;
+};
+
 net::Socket start_shard(std::deque<ShardThread>& pool,
-                        ShardServerOptions opt = {}) {
+                        std::shared_ptr<Gate> gate = nullptr) {
   auto [mine, theirs] = net::socket_pair();
   ShardThread& sh = pool.emplace_back();
-  sh.thread = std::thread([&sh, sock = std::move(theirs), opt]() mutable {
+  sh.thread = std::thread([&sh, sock = std::move(theirs), gate]() mutable {
+    if (gate != nullptr) gate->wait();
     net::FrameChannel ch(std::move(sock));
-    sh.report = run_shard_server(ch, opt);
+    sh.report = run_shard_server(ch, ShardServerOptions{});
   });
   return std::move(mine);
 }
@@ -91,16 +114,22 @@ const char* schedule_name(Schedule s) {
   return "?";
 }
 
-net::Socket crash_on_assign(std::deque<ShardThread>& pool, const Graph& g) {
-  return start_scripted_shard(pool, g, [](net::FrameChannel& ch) {
+// Each faulty shard opens `gate` (when given) as soon as its first
+// post-handshake frame — the assignment — has arrived.
+net::Socket crash_on_assign(std::deque<ShardThread>& pool, const Graph& g,
+                            std::shared_ptr<Gate> gate = nullptr) {
+  return start_scripted_shard(pool, g, [gate](net::FrameChannel& ch) {
     (void)ch.recv(Deadline::after_ms(20000));
+    if (gate != nullptr) gate->open();
     ch.close();
   });
 }
 
-net::Socket hang_on_assign(std::deque<ShardThread>& pool, const Graph& g) {
-  return start_scripted_shard(pool, g, [](net::FrameChannel& ch) {
+net::Socket hang_on_assign(std::deque<ShardThread>& pool, const Graph& g,
+                           std::shared_ptr<Gate> gate) {
+  return start_scripted_shard(pool, g, [gate](net::FrameChannel& ch) {
     auto frame = ch.recv(Deadline::after_ms(20000));
+    gate->open();
     if (!frame.has_value()) return;
     // Hold the socket open, silent, until the coordinator tears it down
     // (lease expiry -> cleanup shuts the channel and recv unblocks).
@@ -108,10 +137,12 @@ net::Socket hang_on_assign(std::deque<ShardThread>& pool, const Graph& g) {
   });
 }
 
-net::Socket zombie_on_assign(std::deque<ShardThread>& pool, const Graph& g) {
+net::Socket zombie_on_assign(std::deque<ShardThread>& pool, const Graph& g,
+                             std::shared_ptr<Gate> gate) {
   const std::size_t n = g.vertex_count();
-  return start_scripted_shard(pool, g, [n](net::FrameChannel& ch) {
+  return start_scripted_shard(pool, g, [n, gate](net::FrameChannel& ch) {
     auto frame = ch.recv(Deadline::after_ms(20000));
+    gate->open();
     if (!frame.has_value() || frame->type != net::kMsgAssign) return;
     const net::AssignMsg assign = net::decode_assign(frame->payload);
     // Outlive the 120ms lease, then deliver a hostile zero-cost result
@@ -178,6 +209,7 @@ void run_instance(const Instance& in) {
 
   std::deque<ShardThread> pool;
   ShardCoordinator coord(g, h, sopt, copt);
+  const auto gate = std::make_shared<Gate>();
   switch (in.schedule) {
     case Schedule::kClean:
       coord.adopt_shard(start_shard(pool));
@@ -185,16 +217,16 @@ void run_instance(const Instance& in) {
       coord.adopt_shard(start_shard(pool));
       break;
     case Schedule::kCrash:
-      coord.adopt_shard(crash_on_assign(pool, g));
-      coord.adopt_shard(start_shard(pool));
+      coord.adopt_shard(crash_on_assign(pool, g, gate));
+      coord.adopt_shard(start_shard(pool, gate));
       break;
     case Schedule::kHang:
-      coord.adopt_shard(hang_on_assign(pool, g));
-      coord.adopt_shard(start_shard(pool));
+      coord.adopt_shard(hang_on_assign(pool, g, gate));
+      coord.adopt_shard(start_shard(pool, gate));
       break;
     case Schedule::kZombie:
-      coord.adopt_shard(zombie_on_assign(pool, g));
-      coord.adopt_shard(start_shard(pool));
+      coord.adopt_shard(zombie_on_assign(pool, g, gate));
+      coord.adopt_shard(start_shard(pool, gate));
       break;
     case Schedule::kAllLost:
       coord.adopt_shard(crash_on_assign(pool, g));

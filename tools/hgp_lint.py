@@ -53,6 +53,11 @@ Rules (library scope = src/** unless noted):
                   hgp::Mutex / MutexLock / CondVar wrappers, so Clang
                   Thread Safety Analysis (-DHGP_THREAD_SAFETY=ON) sees
                   every lock in the tree.
+  orphan-module   Every header under src/ is included by some file under
+                  src/, tools/, bench/, examples/ or perfbench/src/ other
+                  than its own .cpp.  Tests do not count: a module that
+                  only its own test exercises has no caller and is dead
+                  code.  Reported on line 1 of the header.
 
 Suppression: append `// hgp-lint: allow(<rule>)` to the offending line, or
 put it alone on the previous line.
@@ -155,6 +160,10 @@ RAW_SOCKET_ALLOWED_SUBDIR = os.path.join("src", "net")
 RAW_SOCKET_EXEMPT_FILES = {
     os.path.join("src", "obs", "introspect.cpp"),
 }
+
+# Where an #include makes a src/ header "used" (tests/ deliberately absent).
+ORPHAN_CALLER_DIRS = ("src", "tools", "bench", "examples",
+                      os.path.join("perfbench", "src"))
 
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"([^"]+)"')
 PRAGMA_ONCE_RE = re.compile(r"^\s*#\s*pragma\s+once\s*$")
@@ -414,6 +423,34 @@ def check_raw_mutex(root: str) -> list[Finding]:
     return findings
 
 
+def check_orphan_module(root: str) -> list[Finding]:
+    includers: dict[str, set[str]] = {}
+    for subdir in ORPHAN_CALLER_DIRS:
+        for path in iter_files(root, subdir, SOURCE_EXTS):
+            rel = relpath(root, path)
+            for line in open(path, encoding="utf-8").read().splitlines():
+                m = INCLUDE_RE.match(line)
+                if m:
+                    target = os.path.join(LIB_DIR, m.group(1))
+                    includers.setdefault(target, set()).add(rel)
+    findings = []
+    for path in iter_files(root, LIB_DIR, HEADER_EXTS):
+        rel = relpath(root, path)
+        own_cpp = os.path.splitext(rel)[0] + ".cpp"
+        if includers.get(rel, set()) - {own_cpp}:
+            continue
+        lines = open(path, encoding="utf-8").read().splitlines()
+        if lines and "orphan-module" in suppressions(lines, 0):
+            continue
+        findings.append(
+            Finding(rel, 1, "orphan-module",
+                    "no file under src/, tools/, bench/, examples/ or "
+                    "perfbench/src/ includes this header (its own .cpp "
+                    "and tests do not count); delete the module or give "
+                    "it a caller"))
+    return findings
+
+
 def strip_block_comments(line: str, in_block: bool) -> tuple[str, bool]:
     """Removes /* ... */ content, tracking state across lines."""
     out = []
@@ -445,6 +482,7 @@ RULES = [
     check_raw_binary_io,
     check_raw_socket,
     check_raw_mutex,
+    check_orphan_module,
 ]
 
 
@@ -596,6 +634,59 @@ FIXTURES = {
         'namespace x { int f(); }\n',
         set(),
     ),
+    "tools/fixture_main.cpp": (
+        '// a tool: its includes give the headers below a caller\n'
+        '#include "good/clean.hpp"\n'
+        '#include "util/sync.hpp"\n'
+        '#include "orphan/used_by_tool.hpp"\n',
+        set(),
+    ),
+    "src/orphan/unused.hpp": (
+        '// included by nothing at all\n'
+        '#pragma once\n',
+        {"orphan-module"},
+    ),
+    "src/orphan/own_only.hpp": (
+        '// included only by its own .cpp and by a test\n'
+        '#pragma once\n',
+        {"orphan-module"},
+    ),
+    "src/orphan/own_only.cpp": (
+        '// the own translation unit of a module is not a caller\n'
+        '#include "orphan/own_only.hpp"\n',
+        set(),
+    ),
+    "tests/test_own_only.cpp": (
+        '// tests are not callers either\n'
+        '#include "orphan/own_only.hpp"\n',
+        set(),
+    ),
+    "src/orphan/used_by_tool.hpp": (
+        '// a tool includes it\n'
+        '#pragma once\n'
+        '#include "orphan/used_by_header.hpp"\n',
+        set(),
+    ),
+    "src/orphan/used_by_header.hpp": (
+        '// another src header includes it\n'
+        '#pragma once\n',
+        set(),
+    ),
+    "src/orphan/used_by_perfbench.hpp": (
+        '// the benchmark harness includes it\n'
+        '#pragma once\n',
+        set(),
+    ),
+    "perfbench/src/fixture_bench.cpp": (
+        '// benchmark harness source\n'
+        '#include "orphan/used_by_perfbench.hpp"\n',
+        set(),
+    ),
+    "src/orphan/kept.hpp": (
+        '// deliberately unused  // hgp-lint: allow(orphan-module)\n'
+        '#pragma once\n',
+        set(),
+    ),
     "src/obs/trace.cpp": (
         '// telemetry exporter — the sanctioned direct-write sink\n'
         '#include <cstdio>\n'
@@ -669,6 +760,17 @@ def self_test() -> int:
         if sorted(f.line for f in mutex_hits) != [3, 4, 5, 6]:
             print("SELF-TEST MISS: raw-mutex should fire exactly on lines "
                   f"3, 4, 5 and 6, got {sorted(f.line for f in mutex_hits)}")
+            failures += 1
+        orphan_hits = sorted(
+            f.path.replace(os.sep, "/") for f in findings
+            if f.rule == "orphan-module" and "/orphan/" in f.path + "/")
+        if orphan_hits != ["src/orphan/own_only.hpp", "src/orphan/unused.hpp"]:
+            print("SELF-TEST MISS: orphan-module should fire exactly on "
+                  "src/orphan/own_only.hpp and src/orphan/unused.hpp, got "
+                  f"{orphan_hits}")
+            failures += 1
+        if any(f.rule == "orphan-module" and f.line != 1 for f in findings):
+            print("SELF-TEST MISS: orphan-module must report on line 1")
             failures += 1
     if failures:
         print(f"hgp_lint self-test: {failures} failure(s)")
