@@ -10,8 +10,12 @@
 #
 # Check mode (--check): the committed BENCH_*.json files are treated as the
 # baseline and NOT overwritten.  For every bench whose detail carries DP
-# work counters (merge_operations + solve_ms), the run fails if the current
-# DP throughput (merges/ms) regresses more than 15% below the baseline.
+# work counters, the run fails if
+#   * a counter the baseline records (merge_operations, feasible_states,
+#     signatures, with or without a dp_ prefix) differs from the baseline
+#     in any way — a speedup must do exactly the same DP work — or
+#   * the current DP throughput (merges/ms) regresses more than 15% below
+#     the baseline.
 # Benches without comparable counters are reported and skipped.
 #
 # Usage: scripts/run_benches.sh [--check] [build-dir] [name-glob]
@@ -68,21 +72,43 @@ def throughput(detail):
         return None
     return merges / ms
 
+def counters(detail):
+    """The DP work counters a detail records, keyed without the dp_ prefix."""
+    if not isinstance(detail, dict):
+        return {}
+    out = {}
+    for name in ("merge_operations", "feasible_states", "signatures"):
+        for key in (name, "dp_" + name):
+            if key in detail:
+                out[name] = detail[key]
+    return out
+
 with open(sys.argv[1]) as f:
-    old = throughput(json.load(f).get("detail"))
-new = throughput(json.loads(sys.argv[2]) if sys.argv[2] != "null" else None)
+    old_detail = json.load(f).get("detail")
+new_detail = json.loads(sys.argv[2]) if sys.argv[2] != "null" else None
+mismatch = False
+new_counts = counters(new_detail)
+for name, want in sorted(counters(old_detail).items()):
+    got = new_counts.get(name)
+    print(f"    {name}: {got} vs baseline {want}")
+    if got != want:
+        print(f"    MISMATCH: {name} differs from the committed baseline")
+        mismatch = True
+old = throughput(old_detail)
+new = throughput(new_detail)
 if old is None or new is None:
-    print("    no comparable DP throughput counters, skipping")
-    sys.exit(0)
+    print("    no comparable DP throughput counters")
+    sys.exit(1 if mismatch else 0)
 ratio = new / old
 print(f"    DP throughput {new:.0f} merges/ms vs baseline {old:.0f} "
       f"({ratio:.2f}x)")
 if ratio < 0.85:
     print("    REGRESSION: throughput below 85% of the committed baseline")
     sys.exit(1)
+sys.exit(1 if mismatch else 0)
 PYEOF
     then
-      echo "### $name FAILED (throughput regression)"
+      echo "### $name FAILED (DP counter mismatch or throughput regression)"
       status=1
     fi
   fi

@@ -125,26 +125,10 @@ std::size_t SignatureSpace::merge(std::size_t a, int j1, std::size_t b,
                        "merge cut levels must lie in [0, h]");
   const int kept1 = std::min(j1, this->present(a));
   const int kept2 = std::min(j2, this->present(b));
-  const int base = std::max(kept1, kept2);
-  if (present < base || present > height_) return npos;
-  // Capacity: only levels where BOTH masked prefixes contribute can
-  // overflow — beyond min(kept1, kept2) a single interned child's demand is
-  // within bound by construction.
-  const int overlap = std::min(kept1, kept2);
-  for (int k = 1; k <= overlap; ++k) {
-    if (level(a, k) + level(b, k) > bound_[static_cast<std::size_t>(k - 1)]) {
-      return npos;
-    }
-  }
-  // Masked child tuples are non-increasing, so the sum is too; presence ≥
-  // base ≥ support by construction.  The mixed-radix packing is linear and
-  // the capacity check above rules out digit carries, so the merged
-  // tuple's pack key is the sum of the precomputed masked-prefix keys —
-  // no tuple is materialized on this path.
+  if (present < std::max(kept1, kept2) || present > height_) return npos;
   const std::size_t tuple =
-      pack_to_tuple_[prefix_key(tuple_of(a), kept1) +
-                     prefix_key(tuple_of(b), kept2)];
-  HGP_ASSERT(tuple != npos);
+      merged_tuple(tuple_of(a), kept1, tuple_of(b), kept2);
+  if (tuple == npos) return npos;
   const std::size_t merged = compose(tuple, present);
   // Definition 9 postcondition: a successful (j1,j2)-consistent merge is
   // itself a valid signature — monotone, within capacity, presence deep
@@ -170,8 +154,7 @@ std::size_t SignatureSpace::lift(std::size_t a, int j1, int present) const {
                        "lift cut level must lie in [0, h]");
   const int kept = std::min(j1, this->present(a));
   if (present < kept || present > height_) return npos;
-  // The lifted tuple is the masked prefix itself; its key is precomputed.
-  const std::size_t tuple = pack_to_tuple_[prefix_key(tuple_of(a), kept)];
+  const std::size_t tuple = lifted_tuple(tuple_of(a), kept);
   HGP_ASSERT(tuple != npos);
   const std::size_t lifted = compose(tuple, present);
   HGP_POSTCONDITION_MSG(

@@ -17,7 +17,17 @@
 //    the per-node cost to O(|feasible1| · |feasible2| · h²) — polynomially
 //    far below the paper's crude O(D^(2h+2)) bound, with the same result;
 //  * cut levels are enumerated only up to each signature's support (levels
-//    with D > 0); cutting above the support is a no-op.
+//    with D > 0); cutting above the support is a no-op;
+//  * the merge kernel asks SignatureSpace::merged_tuple() once per
+//    (s1, s2, j1, j2) — capacity check and tuple lookup do not depend on
+//    the parent presence pv — and fills the pv range as tuple·(h+1) + pv,
+//    adding merge_operations / merges_rejected for the whole range, so the
+//    counters read as if merge() had been called once per pv;
+//  * dense per-node cost tables are recycled all-+inf: a table is filled
+//    once when first allocated, and on release only its feasible entries
+//    (the only ones that are not +inf) are reset;
+//  * the deadline guard ticks once per s2 row with that row's merge count,
+//    keeping the every-4096-merges check cadence.
 #pragma once
 
 #include <cstdint>

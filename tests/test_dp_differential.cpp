@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <vector>
 
 #include "core/rhgpt.hpp"
@@ -134,6 +135,55 @@ TEST(DpDifferential, TwoHundredSeedsAgreeAcrossConfigurations) {
   // The size distribution must keep feeding the oracle; if a generator
   // change starves it, this fails loudly instead of silently weakening.
   EXPECT_GE(brute_checked, 3);
+}
+
+// Absolute DP counters for a handful of seeds, with pruning forced ON and
+// OFF (independent of HGP_DP_PRUNE).  The sweep above only compares
+// configurations of the same kernel with each other, so a kernel that
+// skipped or double-counted merges in every configuration would still pass
+// it; these pinned values would not.  On drift the test prints the
+// measured rows.
+struct PinnedDp {
+  std::uint64_t seed;
+  bool prune;
+  std::size_t merges;
+  std::size_t rejected;
+  std::size_t feasible;
+  std::size_t pruned;
+};
+
+constexpr PinnedDp kPinnedDp[] = {
+    {1, true, 4014, 108, 197, 53},   {1, false, 9177, 208, 289, 0},
+    {2, true, 3837, 30, 166, 45},    {2, false, 4935, 38, 262, 0},
+    {3, true, 547, 6, 130, 11},      {3, false, 718, 8, 151, 0},
+    {4, true, 199, 1, 33, 9},        {4, false, 252, 1, 43, 0},
+    {5, true, 3478, 21, 114, 12},    {5, false, 5110, 22, 126, 0},
+    {6, true, 191, 3, 61, 2},        {6, false, 200, 3, 66, 0},
+    {100, true, 406, 3, 76, 3},      {100, false, 423, 3, 82, 0},
+    {200, true, 426, 1, 51, 0},      {200, false, 426, 1, 51, 0},
+};
+
+TEST(DpDifferential, CountersMatchPinnedValues) {
+  for (const PinnedDp& pin : kPinnedDp) {
+    const Instance inst = make_instance(pin.seed);
+    SCOPED_TRACE(::testing::Message()
+                 << "seed=" << pin.seed << " prune=" << pin.prune);
+    TreeDpOptions opt;
+    opt.units_override = inst.units;
+    opt.prune_dominated = pin.prune;
+    opt.force_prune = pin.prune;
+    const TreeDpStats s = solve_rhgpt(inst.tree, inst.hierarchy, opt).stats;
+    EXPECT_EQ(s.merge_operations, pin.merges);
+    EXPECT_EQ(s.merges_rejected, pin.rejected);
+    EXPECT_EQ(s.feasible_states, pin.feasible);
+    EXPECT_EQ(s.states_pruned, pin.pruned);
+    if (::testing::Test::HasFailure()) {
+      std::printf("measured: {%llu, %s, %zu, %zu, %zu, %zu},\n",
+                  static_cast<unsigned long long>(pin.seed),
+                  pin.prune ? "true" : "false", s.merge_operations,
+                  s.merges_rejected, s.feasible_states, s.states_pruned);
+    }
+  }
 }
 
 TEST(DpDifferential, ParallelPhaseActuallyRuns) {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "core/signature.hpp"
 
 namespace hgp {
@@ -171,6 +174,127 @@ TEST(SignatureSpace, MergeIsCommutative) {
         }
       }
     }
+  }
+}
+
+// Definition 9 merge with the tuples materialized: children a (cut above
+// j1) and b (cut above j2) keep their first min(j, p) levels, the parent's
+// demand is the sum of the kept prefixes, and its presence pv must cover
+// both kept prefixes.  npos when the result is not a signature.
+std::size_t reference_merge(const SignatureSpace& space, std::size_t a, int j1,
+                            std::size_t b, int j2, int pv) {
+  const int h = space.height();
+  const int kept1 = std::min(j1, space.present(a));
+  const int kept2 = std::min(j2, space.present(b));
+  if (pv < std::max(kept1, kept2) || pv > h) return SignatureSpace::npos;
+  Signature d(static_cast<std::size_t>(h), 0);
+  for (int k = 1; k <= h; ++k) {
+    d[static_cast<std::size_t>(k - 1)] =
+        (k <= kept1 ? space.level(a, k) : 0) +
+        (k <= kept2 ? space.level(b, k) : 0);
+  }
+  return space.id_of(d, pv);
+}
+
+std::size_t reference_lift(const SignatureSpace& space, std::size_t a, int j1,
+                           int pv) {
+  return reference_merge(space, a, j1, space.zero_id(), 0, pv);
+}
+
+// Small spaces (h = 2 and 3, one with the demand total tightening the level
+// bounds) on which every (a, j1, b, j2, pv) is enumerated.
+std::vector<ScaledDemands> exhaustive_spaces() {
+  return {make_scaled({12, 4, 3}, 100), make_scaled({12, 5, 3}, 4),
+          make_scaled({24, 4, 3, 2}, 100)};
+}
+
+TEST(SignatureSpace, MergedTupleMatchesMaterializedMergeExhaustively) {
+  for (const ScaledDemands& sd : exhaustive_spaces()) {
+    const int h = narrow<int>(sd.capacity.size()) - 1;
+    const SignatureSpace space(sd, h);
+    SCOPED_TRACE(::testing::Message() << "h=" << h << " |Sig|="
+                                      << space.size());
+    std::size_t checked = 0;
+    std::size_t mismatches = 0;
+    for (std::size_t a = 0; a < space.size(); ++a) {
+      for (std::size_t b = 0; b < space.size(); ++b) {
+        for (int j1 = 0; j1 <= h; ++j1) {
+          for (int j2 = 0; j2 <= h; ++j2) {
+            const int kept1 = std::min(j1, space.present(a));
+            const int kept2 = std::min(j2, space.present(b));
+            const int base = std::max(kept1, kept2);
+            const std::size_t tuple = space.merged_tuple(
+                space.tuple_of(a), kept1, space.tuple_of(b), kept2);
+            std::vector<std::size_t> ref(static_cast<std::size_t>(h) + 1);
+            for (int pv = 0; pv <= h; ++pv) {
+              ref[static_cast<std::size_t>(pv)] =
+                  reference_merge(space, a, j1, b, j2, pv);
+              const std::size_t kernel =
+                  tuple == SignatureSpace::npos || pv < base
+                      ? SignatureSpace::npos
+                      : space.compose(tuple, pv);
+              mismatches += kernel != ref[static_cast<std::size_t>(pv)];
+              mismatches += space.merge(a, j1, b, j2, pv) !=
+                            ref[static_cast<std::size_t>(pv)];
+              ++checked;
+            }
+            // The DP kernel adds rejected merges per presence range
+            // [lo, hi] arithmetically: all of it on a capacity overflow,
+            // else the part below the kept prefixes.
+            for (int lo = 0; lo <= h; ++lo) {
+              for (int hi = lo; hi <= h; ++hi) {
+                std::size_t npos_count = 0;
+                for (int pv = lo; pv <= hi; ++pv) {
+                  npos_count += ref[static_cast<std::size_t>(pv)] ==
+                                SignatureSpace::npos;
+                }
+                const auto range = static_cast<std::size_t>(hi - lo + 1);
+                const std::size_t counted =
+                    tuple == SignatureSpace::npos
+                        ? range
+                        : static_cast<std::size_t>(
+                              std::clamp(base - lo, 0, hi - lo + 1));
+                mismatches += counted != npos_count;
+              }
+            }
+          }
+        }
+      }
+    }
+    EXPECT_EQ(mismatches, 0u);
+    const auto h1 = static_cast<std::size_t>(h + 1);
+    EXPECT_EQ(checked, space.size() * space.size() * h1 * h1 * h1);
+  }
+}
+
+TEST(SignatureSpace, LiftedTupleMatchesMaterializedLiftExhaustively) {
+  for (const ScaledDemands& sd : exhaustive_spaces()) {
+    const int h = narrow<int>(sd.capacity.size()) - 1;
+    const SignatureSpace space(sd, h);
+    SCOPED_TRACE(::testing::Message() << "h=" << h);
+    std::size_t mismatches = 0;
+    for (std::size_t a = 0; a < space.size(); ++a) {
+      for (int j1 = 0; j1 <= h; ++j1) {
+        const int kept = std::min(j1, space.present(a));
+        const std::size_t tuple = space.lifted_tuple(space.tuple_of(a), kept);
+        ASSERT_NE(tuple, SignatureSpace::npos);
+        for (int pv = 0; pv <= h; ++pv) {
+          const std::size_t ref = reference_lift(space, a, j1, pv);
+          const std::size_t kernel =
+              pv < kept ? SignatureSpace::npos : space.compose(tuple, pv);
+          mismatches += kernel != ref;
+          mismatches += space.lift(a, j1, pv) != ref;
+        }
+      }
+    }
+    EXPECT_EQ(mismatches, 0u);
+  }
+}
+
+TEST(SignatureSpace, ComposeInvertsTupleAndPresence) {
+  const SignatureSpace space(make_scaled({24, 4, 3, 2}, 100), 3);
+  for (std::size_t id = 0; id < space.size(); ++id) {
+    EXPECT_EQ(space.compose(space.tuple_of(id), space.present(id)), id);
   }
 }
 
