@@ -68,76 +68,51 @@ constexpr std::uint32_t kNoSig = kDpNoSig;
 /// alias is the public type.
 using Back = DpBack;
 
-/// Recycled dense DP scratch.  Every node needs a |Sig|-sized cost array
-/// (read by its parent's merge) and a parallel back-pointer array (read by
-/// compaction); heap-allocating them per node used to dominate small-node
-/// time.  The pool hands out arena-backed spans and recycles released ones
-/// through free lists, so a DP sweep performs O(tree depth) real
-/// allocations total instead of O(nodes).  One pool per worker in the
-/// parallel subtree phase — a pool is single-threaded by design.
-///
-/// Sparse reset: a cost span is all-kInf whenever it sits in the pool.  It
-/// is filled once, when the arena hands it out new; on release only the
-/// entries its node wrote are reset.  NodeTable keeps "cost ≠ kInf ⇔ in
-/// feasible" (relax() records every first write, prune_dominated() resets
-/// what it drops), so the feasible list is exactly what to reset — a leaf
-/// touches one entry instead of refilling all |Sig|.
-class DenseTablePool {
- public:
-  explicit DenseTablePool(std::size_t size) : size_(size) {}
+/// A finished node's DP table, compacted: its feasible signature ids
+/// (sorted), their costs and their back-pointers, parallel arrays.  `cost`
+/// is read only by the parent's merge (or the root selection) and dropped
+/// once the parent is processed; `back` stays for reconstruction.
+struct NodeTable {
+  std::vector<std::uint32_t> feasible;
+  std::vector<double> cost;
+  std::vector<Back> back;
 
-  std::span<double> acquire_cost() {
-    if (free_cost_.empty()) {
-      return arena_.allocate_filled<double>(size_, kInf);
-    }
-    const std::span<double> s = free_cost_.back();
-    free_cost_.pop_back();
-    return s;
-  }
-  /// `written`: every entry of `s` that is not kInf.
-  void release_cost(std::span<double> s,
-                    std::span<const std::uint32_t> written) {
-    if (s.empty()) return;
-    for (const std::uint32_t sig : written) s[sig] = kInf;
-    free_cost_.push_back(s);
+  const Back& lookup(std::uint32_t sig) const {
+    const auto it = std::lower_bound(feasible.begin(), feasible.end(), sig);
+    HGP_CHECK_MSG(it != feasible.end() && *it == sig,
+                  "backtracking hit an infeasible signature");
+    return back[static_cast<std::size_t>(it - feasible.begin())];
   }
 
-  /// Back arrays are returned uninitialized: entries are written by the
-  /// first relax() of their signature before any read (compaction only
-  /// copies entries of feasible signatures).
-  std::span<Back> acquire_back() {
-    std::span<Back> s;
-    if (!free_back_.empty()) {
-      s = free_back_.back();
-      free_back_.pop_back();
-    } else {
-      s = arena_.allocate<Back>(size_);
-    }
-    return s;
-  }
-  void release_back(std::span<Back> s) {
-    if (!s.empty()) free_back_.push_back(s);
-  }
-
-  std::size_t bytes_reserved() const { return arena_.bytes_reserved(); }
-
- private:
-  std::size_t size_;
-  Arena arena_;
-  std::vector<std::span<double>> free_cost_;
-  std::vector<std::span<Back>> free_back_;
+  void release_cost() { std::vector<double>().swap(cost); }
 };
 
-/// Per-node DP table.  `cost` is scratch read by the parent's merge and
-/// recycled afterwards; the dense back array is compacted to the feasible
-/// entries right after the node is built (reconstruction only queries
-/// feasible signatures, and dense back-pointers for every node would
-/// dominate memory).
-struct NodeTable {
-  std::span<double> cost;
-  std::span<Back> back_dense;
-  std::vector<std::uint32_t> feasible;  // sorted after compaction
-  std::vector<Back> back_compact;       // parallel to `feasible`
+/// Scratch for the node being built — the only dense structure a sweep
+/// needs, since finished nodes keep compacted tables.  `slot_[sig]` is the
+/// position of sig's entry in `entries_` (appended in first-write order),
+/// or kNoSlot.  The |Sig|-sized index comes from an arena, so it is
+/// charged to the MemoryBudget; it is all-kNoSlot between nodes, and
+/// finish() resets only the slots the node used.  Single-threaded: the
+/// parallel subtree phase gives every task its own scratch.
+class NodeScratch {
+ public:
+  explicit NodeScratch(std::size_t size)
+      : arena_(std::max<std::size_t>(1, size * sizeof(std::uint32_t))),
+        slot_(arena_.allocate_filled<std::uint32_t>(size, kNoSlot)) {}
+
+  /// Keeps the cheaper of the stored and the offered (cost, back) for
+  /// `sig`; ties keep the first.
+  void relax(std::size_t sig, double cost, const Back& back) {
+    std::uint32_t& slot = slot_[sig];
+    if (slot == kNoSlot) {
+      if (!(cost < kInf)) return;
+      slot = narrow<std::uint32_t>(entries_.size());
+      entries_.push_back({cost, narrow<std::uint32_t>(sig), back});
+    } else if (cost < entries_[slot].cost) {
+      entries_[slot].cost = cost;
+      entries_[slot].back = back;
+    }
+  }
 
   /// Pareto dominance pruning.  An entry (D, p, cost) is dominated by
   /// (D', p, cost') with D' ≤ D componentwise and cost' ≤ cost: every
@@ -146,28 +121,35 @@ struct NodeTable {
   /// passes the same capacity checks (smaller demands), and produces a
   /// dominating parent entry — so dropping dominated states preserves the
   /// optimum.  This is what keeps deep hierarchies tractable in practice.
-  /// Returns the number of entries dropped.
+  /// Dropped entries get cost +inf (finish() discards them).  Returns the
+  /// number of entries dropped.
   std::size_t prune_dominated(const SignatureSpace& space) {
     const int height = space.height();
-    std::vector<std::uint32_t> order = feasible;
+    std::vector<std::uint32_t> order(entries_.size());
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      order[i] = narrow<std::uint32_t>(i);
+    }
     std::sort(order.begin(), order.end(),
               [&](std::uint32_t a, std::uint32_t b) {
-                return cost[a] != cost[b] ? cost[a] < cost[b] : a < b;
+                const Entry& ea = entries_[a];
+                const Entry& eb = entries_[b];
+                return ea.cost != eb.cost ? ea.cost < eb.cost
+                                          : ea.sig < eb.sig;
               });
     // kept[p] = surviving entries of presence class p, in cost order; a
     // candidate is dominated iff some earlier (cheaper) kept entry has
     // componentwise-smaller demand.
     std::vector<std::vector<std::uint32_t>> kept(
         static_cast<std::size_t>(height) + 1);
-    std::vector<std::uint32_t> survivors;
-    survivors.reserve(order.size());
-    for (const std::uint32_t s : order) {
-      const auto p = static_cast<std::size_t>(space.present(s));
+    std::size_t pruned = 0;
+    for (const std::uint32_t i : order) {
+      Entry& e = entries_[i];
+      const auto p = static_cast<std::size_t>(space.present(e.sig));
       bool dominated = false;
       for (const std::uint32_t k : kept[p]) {
         bool leq = true;
         for (int j = 1; j <= height && leq; ++j) {
-          leq = space.level(k, j) <= space.level(s, j);
+          leq = space.level(k, j) <= space.level(e.sig, j);
         }
         if (leq) {
           dominated = true;
@@ -175,49 +157,48 @@ struct NodeTable {
         }
       }
       if (dominated) {
-        cost[s] = kInf;  // keeps cost ≠ kInf ⇔ in feasible
+        e.cost = kInf;
+        ++pruned;
       } else {
-        kept[p].push_back(s);
-        survivors.push_back(s);
+        kept[p].push_back(e.sig);
       }
     }
-    const std::size_t pruned = feasible.size() - survivors.size();
-    feasible = std::move(survivors);
     return pruned;
   }
 
-  void compact(DenseTablePool& pool) {
-    std::sort(feasible.begin(), feasible.end());
-    back_compact.resize(feasible.size());
-    for (std::size_t i = 0; i < feasible.size(); ++i) {
-      back_compact[i] = back_dense[feasible[i]];
+  /// Moves the node's surviving entries into `table`, sorted by id, and
+  /// resets the slots the node used.
+  void finish(NodeTable& table) {
+    for (const Entry& e : entries_) slot_[e.sig] = kNoSlot;
+    std::erase_if(entries_, [](const Entry& e) { return e.cost == kInf; });
+    std::sort(entries_.begin(), entries_.end(),
+              [](const Entry& a, const Entry& b) { return a.sig < b.sig; });
+    const std::size_t n = entries_.size();
+    table.feasible.resize(n);
+    table.cost.resize(n);
+    table.back.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      table.feasible[i] = entries_[i].sig;
+      table.cost[i] = entries_[i].cost;
+      table.back[i] = entries_[i].back;
     }
-    pool.release_back(back_dense);
-    back_dense = {};
+    entries_.clear();
   }
 
-  const Back& lookup(std::uint32_t sig) const {
-    const auto it = std::lower_bound(feasible.begin(), feasible.end(), sig);
-    HGP_CHECK_MSG(it != feasible.end() && *it == sig,
-                  "backtracking hit an infeasible signature");
-    return back_compact[static_cast<std::size_t>(it - feasible.begin())];
-  }
+  std::size_t bytes_reserved() const { return arena_.bytes_reserved(); }
 
-  void release_cost(DenseTablePool& pool) {
-    pool.release_cost(cost, feasible);
-    cost = {};
-  }
+ private:
+  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
+  struct Entry {
+    double cost;
+    std::uint32_t sig;
+    Back back;
+  };
+
+  Arena arena_;
+  std::span<std::uint32_t> slot_;
+  std::vector<Entry> entries_;
 };
-
-void relax(NodeTable& table, std::size_t sig, double cost, const Back& back) {
-  if (cost < table.cost[sig]) {
-    if (table.cost[sig] == kInf) {
-      table.feasible.push_back(narrow<std::uint32_t>(sig));
-    }
-    table.cost[sig] = cost;
-    table.back_dense[sig] = back;
-  }
-}
 
 // ---------------------------------------------------------------------------
 // Clean-subtree reuse (incremental re-solve).
@@ -227,8 +208,7 @@ void relax(NodeTable& table, std::size_t sig, double cost, const Back& back) {
 // signature-space parameters.  We hash that content bottom-up (SplitMix64
 // finalizer mixing); a node whose hash — and every descendant's — is found
 // in a compatible DpReuseStore is *rehydrated*: its compacted table is
-// copied in and its dense cost span is materialized only when the parent's
-// merge (or the root selection) will read it.  Everything else builds
+// copied in, exactly as a build would have left it.  Everything else builds
 // normally, so the sweep stays a single children-before-parents pass and
 // the parallel subtree phase needs no changes beyond dispatching through
 // process() instead of build_node().
@@ -286,13 +266,10 @@ std::vector<std::uint64_t> subtree_hashes(const Tree& bt,
 }
 
 /// Per-node rehydrate/build decisions for one solve.  `entry[v]` non-null
-/// means v rehydrates from that table (already in the *current* space);
-/// `needs_dense[v]` means v's dense cost span will be read (by a built
-/// parent or the root selection) and must be materialized.
+/// means v rehydrates from that table (already in the *current* space).
 struct ReusePlan {
   std::vector<std::uint64_t> hash;
   std::vector<const DpSubtreeEntry*> entry;
-  std::vector<char> needs_dense;
   /// Owns tables translated from the store's space into the current one
   /// (empty feasible = cached translation failure).  Node-based map:
   /// pointers into it stay valid across inserts.
@@ -306,7 +283,6 @@ ReusePlan make_reuse_plan(const Tree& bt, const ScaledDemands& sd,
   ReusePlan plan;
   plan.hash = subtree_hashes(bt, sd);
   plan.entry.assign(n, nullptr);
-  plan.needs_dense.assign(n, 1);
   const bool usable = store != nullptr && !store->entries.empty() &&
                       store->height == height && store->prune == prune &&
                       store->units_per_capacity == sd.units_per_capacity &&
@@ -382,12 +358,6 @@ ReusePlan make_reuse_plan(const Tree& bt, const ScaledDemands& sd,
     }
     if (kids_hit) plan.entry[vi] = resolve(plan.hash[vi]);
   }
-  for (Vertex v = 0; v < bt.node_count(); ++v) {
-    const auto vi = static_cast<std::size_t>(v);
-    plan.needs_dense[vi] =
-        v == bt.root() ||
-        plan.entry[static_cast<std::size_t>(bt.parent(v))] == nullptr;
-  }
   return plan;
 }
 
@@ -429,44 +399,35 @@ struct DpEngine {
   std::vector<DpSubtreeEntry>* capture = nullptr;
 
   /// Node dispatch: rehydrate a clean subtree's table or build it by
-  /// merging.  Bit-identical either way.
-  void process(Vertex v, DenseTablePool& pool, TreeDpStats& stats,
+  /// merging.  Bit-identical either way.  The children's costs have been
+  /// read by then, so they are dropped; their back-pointers stay.
+  void process(Vertex v, NodeScratch& scratch, TreeDpStats& stats,
                PeriodicCheck& guard) const {
     const auto vi = static_cast<std::size_t>(v);
     const DpSubtreeEntry* e = plan == nullptr ? nullptr : plan->entry[vi];
     if (e != nullptr) {
-      rehydrate(v, *e, pool, stats, guard);
-      return;
-    }
-    build_node(v, pool, stats, guard);
-    ++stats.nodes_built;
-    if (capture != nullptr) {
-      // The dense cost span is still alive here (released only by the
-      // parent's merge), so gather the compacted costs now.
-      const NodeTable& table = tables[vi];
-      DpSubtreeEntry& slot = (*capture)[vi];
-      slot.feasible = table.feasible;
-      slot.back = table.back_compact;
-      slot.cost.resize(table.feasible.size());
-      for (std::size_t i = 0; i < table.feasible.size(); ++i) {
-        slot.cost[i] = table.cost[table.feasible[i]];
+      rehydrate(v, *e, stats, guard);
+    } else {
+      build_node(v, scratch, stats, guard);
+      ++stats.nodes_built;
+      if (capture != nullptr) {
+        const NodeTable& table = tables[vi];
+        (*capture)[vi] = DpSubtreeEntry{table.feasible, table.cost, table.back};
       }
+    }
+    for (const Vertex c : bt.children(v)) {
+      tables[static_cast<std::size_t>(c)].release_cost();
     }
   }
 
-  void rehydrate(Vertex v, const DpSubtreeEntry& e, DenseTablePool& pool,
-                 TreeDpStats& stats, PeriodicCheck& guard) const {
+  void rehydrate(Vertex v, const DpSubtreeEntry& e, TreeDpStats& stats,
+                 PeriodicCheck& guard) const {
     guard.tick();
     const auto vi = static_cast<std::size_t>(v);
     NodeTable& table = tables[vi];
     table.feasible = e.feasible;
-    table.back_compact = e.back;
-    if (plan->needs_dense[vi] != 0) {
-      table.cost = pool.acquire_cost();
-      for (std::size_t i = 0; i < e.feasible.size(); ++i) {
-        table.cost[e.feasible[i]] = e.cost[i];
-      }
-    }
+    table.cost = e.cost;
+    table.back = e.back;
     stats.feasible_states += e.feasible.size();
     ++stats.nodes_reused;
     if (capture != nullptr) (*capture)[vi] = e;
@@ -490,18 +451,19 @@ struct DpEngine {
   /// One-child node: every (s1, j1) lifts to one demand tuple, filled
   /// across its presence range.  A cut level never exceeds the child's
   /// presence, so the kept prefix is j1 itself.
-  void lift_child(NodeTable& table, Vertex c, DenseTablePool& pool,
-                  TreeDpStats& stats, PeriodicCheck& guard) const {
+  void lift_child(NodeScratch& scratch, Vertex c, TreeDpStats& stats,
+                  PeriodicCheck& guard) const {
     const int height = space.height();
     const auto row = static_cast<std::size_t>(height) + 1;
-    NodeTable& ct = tables[static_cast<std::size_t>(c)];
+    const NodeTable& ct = tables[static_cast<std::size_t>(c)];
     const bool uncut = bt.parent_edge_infinite(c);
     const std::vector<double> charge =
         charge_table(uncut ? 0 : bt.parent_weight(c));
-    for (const std::uint32_t s1 : ct.feasible) {
+    for (std::size_t i1 = 0; i1 < ct.feasible.size(); ++i1) {
+      const std::uint32_t s1 = ct.feasible[i1];
       const std::size_t tu1 = space.tuple_of(s1);
       const int p1 = space.present(s1);
-      const double base1 = ct.cost[s1];
+      const double base1 = ct.cost[i1];
       std::size_t merges = 0;
       for (int j1 = uncut ? p1 : 0; j1 <= p1; ++j1) {
         const auto j1i = static_cast<std::size_t>(j1);
@@ -515,16 +477,16 @@ struct DpEngine {
             "lift kernel disagrees with SignatureSpace::lift");
         const Back back{s1, kNoSig, narrow<std::int8_t>(j1), -1};
         for (int pv = pv_lo; pv <= pv_hi; ++pv) {
-          relax(table, space.compose(tuple, pv),
-                partial + charge[j1i * row + static_cast<std::size_t>(pv)],
-                back);
+          scratch.relax(
+              space.compose(tuple, pv),
+              partial + charge[j1i * row + static_cast<std::size_t>(pv)],
+              back);
         }
         merges += static_cast<std::size_t>(pv_hi - pv_lo + 1);
       }
       stats.merge_operations += merges;
       guard.tick(merges);
     }
-    ct.release_cost(pool);
   }
 
   /// Two-child node: the (j1,j2)-consistent merge of Definition 9 for
@@ -537,13 +499,12 @@ struct DpEngine {
   /// pv on a capacity overflow; either way the whole range is rejected,
   /// and counted so.  The deadline guard ticks once per s2 row with that
   /// row's merges, keeping the every-4096-merges cadence.
-  void merge_children(NodeTable& table, Vertex c1, Vertex c2,
-                      DenseTablePool& pool, TreeDpStats& stats,
-                      PeriodicCheck& guard) const {
+  void merge_children(NodeScratch& scratch, Vertex c1, Vertex c2,
+                      TreeDpStats& stats, PeriodicCheck& guard) const {
     const int height = space.height();
     const auto row = static_cast<std::size_t>(height) + 1;
-    NodeTable& t1 = tables[static_cast<std::size_t>(c1)];
-    NodeTable& t2 = tables[static_cast<std::size_t>(c2)];
+    const NodeTable& t1 = tables[static_cast<std::size_t>(c1)];
+    const NodeTable& t2 = tables[static_cast<std::size_t>(c2)];
     const bool inf1 = bt.parent_edge_infinite(c1);
     const bool inf2 = bt.parent_edge_infinite(c2);
     const std::vector<double> charge1 =
@@ -559,14 +520,16 @@ struct DpEngine {
     };
     std::vector<Entry> row2;
     row2.reserve(t2.feasible.size());
-    for (const std::uint32_t s2 : t2.feasible) {
+    for (std::size_t i2 = 0; i2 < t2.feasible.size(); ++i2) {
+      const std::uint32_t s2 = t2.feasible[i2];
       row2.push_back(
-          {s2, space.present(s2), space.tuple_of(s2), t2.cost[s2]});
+          {s2, space.present(s2), space.tuple_of(s2), t2.cost[i2]});
     }
-    for (const std::uint32_t s1 : t1.feasible) {
+    for (std::size_t i1 = 0; i1 < t1.feasible.size(); ++i1) {
+      const std::uint32_t s1 = t1.feasible[i1];
       const std::size_t tu1 = space.tuple_of(s1);
       const int p1 = space.present(s1);
-      const double base1 = t1.cost[s1];
+      const double base1 = t1.cost[i1];
       for (const Entry& e2 : row2) {
         const int p2 = e2.present;
         const double base12 = base1 + e2.cost;
@@ -611,10 +574,10 @@ struct DpEngine {
             const Back back{s1, e2.sig, j1b, narrow<std::int8_t>(j2)};
             for (int pv = pv_lo; pv <= pv_hi; ++pv) {
               const auto pvi = static_cast<std::size_t>(pv);
-              relax(table, space.compose(tuple, pv),
-                    closed12 + (charge1[j1i * row + pvi] +
-                                charge2[j2i * row + pvi]),
-                    back);
+              scratch.relax(space.compose(tuple, pv),
+                            closed12 + (charge1[j1i * row + pvi] +
+                                        charge2[j2i * row + pvi]),
+                            back);
             }
           }
         }
@@ -623,17 +586,11 @@ struct DpEngine {
         guard.tick(merges);
       }
     }
-    t1.release_cost(pool);
-    t2.release_cost(pool);
   }
 
-  void build_node(Vertex v, DenseTablePool& pool, TreeDpStats& stats,
+  void build_node(Vertex v, NodeScratch& scratch, TreeDpStats& stats,
                   PeriodicCheck& guard) const {
     guard.tick();
-    NodeTable& table = tables[static_cast<std::size_t>(v)];
-    table.cost = pool.acquire_cost();
-    table.back_dense = pool.acquire_back();
-
     const auto kids = bt.children(v);
     if (kids.empty()) {
       const std::size_t sig =
@@ -642,17 +599,18 @@ struct DpEngine {
         throw SolveError(StatusCode::kInfeasible,
                          "leaf demand exceeds a level capacity");
       }
-      relax(table, sig, 0.0, Back{});
+      scratch.relax(sig, 0.0, Back{});
     } else if (kids.size() == 1) {
-      lift_child(table, kids[0], pool, stats, guard);
+      lift_child(scratch, kids[0], stats, guard);
     } else {
       HGP_CHECK_MSG(kids.size() == 2, "tree must be binarized");
-      merge_children(table, kids[0], kids[1], pool, stats, guard);
+      merge_children(scratch, kids[0], kids[1], stats, guard);
     }
     if (prune) {
-      stats.states_pruned += table.prune_dominated(space);
+      stats.states_pruned += scratch.prune_dominated(space);
     }
-    table.compact(pool);
+    NodeTable& table = tables[static_cast<std::size_t>(v)];
+    scratch.finish(table);
     stats.feasible_states += table.feasible.size();
   }
 };
@@ -729,10 +687,9 @@ SubtreePlan plan_subtrees(const Tree& bt, std::size_t target) {
 }
 
 /// Number of subtree tasks worth creating on `pool` right now, sized by
-/// the PR-3 `pool.queue_depth` gauge: a backlogged pool (the runtime
-/// already fans a forest of trees across it) gets a small fan-out — extra
-/// tasks would only queue — while an idle pool gets 2× its workers for
-/// load balancing.
+/// the PR-3 `pool.queue_depth` gauge: a backlogged pool (other work
+/// already queued on it) gets a small fan-out — extra tasks would only
+/// queue — while an idle pool gets 2× its workers for load balancing.
 std::size_t subtree_fanout(const ThreadPool& pool) {
   const std::size_t workers = pool.thread_count();
   std::size_t backlog = pool.pending();
@@ -748,6 +705,21 @@ std::size_t subtree_fanout(const ThreadPool& pool) {
 }
 
 }  // namespace
+
+const SignatureSpace* SharedSignatureSpace::acquire(const ScaledDemands& sd,
+                                                    int height) {
+  const MutexLock lock(mu_);
+  if (!space_.has_value()) {
+    space_.emplace(sd, height);
+    units_per_capacity_ = sd.units_per_capacity;
+    total_ = sd.total;
+    capacity_ = sd.capacity;
+  }
+  const bool match = space_->height() == height &&
+                     units_per_capacity_ == sd.units_per_capacity &&
+                     total_ == sd.total && capacity_ == sd.capacity;
+  return match ? &*space_ : nullptr;
+}
 
 TreeDpResult solve_rhgpt(const Tree& t, const Hierarchy& h,
                          const TreeDpOptions& opt) {
@@ -771,8 +743,14 @@ TreeDpResult solve_rhgpt(const Tree& t, const Hierarchy& h,
     throw SolveError(StatusCode::kInfeasible, os.str());
   }
 
-  // 2. Signature space and the Δ/2 prefix sums.
-  const SignatureSpace space(sd, height);
+  // 2. Signature space — the solve's shared one when its parameters
+  //    match, else a private one — and the Δ/2 prefix sums.
+  const SignatureSpace* shared =
+      opt.shared_space != nullptr ? opt.shared_space->acquire(sd, height)
+                                  : nullptr;
+  std::optional<SignatureSpace> own;
+  if (shared == nullptr) own.emplace(sd, height);
+  const SignatureSpace& space = shared != nullptr ? *shared : *own;
   result.stats.signature_count = space.size();
   std::vector<double> ps(static_cast<std::size_t>(height) + 1, 0.0);
   for (int k = 1; k <= height; ++k) {
@@ -781,10 +759,9 @@ TreeDpResult solve_rhgpt(const Tree& t, const Hierarchy& h,
   }
 
   // 3. Bottom-up DP.  Independent subtrees run as pool tasks when a pool
-  //    is supplied (each task on its own arena-backed workspace, so the
-  //    hot loops never contend); the remaining top of the tree — and the
-  //    whole tree in the sequential case — runs on the caller's thread.
-  //    All workspaces outlive step 4: the root's cost span is read there.
+  //    is supplied (each task with its own scratch, so the hot loops never
+  //    contend); the remaining top of the tree — and the whole tree in the
+  //    sequential case — runs on the caller's thread.
   std::vector<NodeTable> tables(static_cast<std::size_t>(bt.node_count()));
   const bool prune =
       opt.force_prune || (opt.prune_dominated && dp_prune_env_enabled());
@@ -802,9 +779,9 @@ TreeDpResult solve_rhgpt(const Tree& t, const Hierarchy& h,
                         prune,  tables,
                         reuse_plan.has_value() ? &*reuse_plan : nullptr,
                         opt.reuse_out != nullptr ? &capture_slots : nullptr};
-  std::vector<std::unique_ptr<DenseTablePool>> pools;
-  pools.push_back(std::make_unique<DenseTablePool>(space.size()));
-  DenseTablePool& main_pool = *pools.front();
+  std::vector<std::unique_ptr<NodeScratch>> scratches;
+  scratches.push_back(std::make_unique<NodeScratch>(space.size()));
+  NodeScratch& main_scratch = *scratches.front();
 
   bool parallel = false;
   if (opt.pool != nullptr && opt.pool->thread_count() > 0 &&
@@ -819,15 +796,15 @@ TreeDpResult solve_rhgpt(const Tree& t, const Hierarchy& h,
       std::vector<std::future<void>> futures;
       futures.reserve(plan.slices.size());
       for (std::size_t i = 0; i < plan.slices.size(); ++i) {
-        pools.push_back(std::make_unique<DenseTablePool>(space.size()));
-        DenseTablePool& task_pool = *pools.back();
+        scratches.push_back(std::make_unique<NodeScratch>(space.size()));
+        NodeScratch& task_scratch = *scratches.back();
         const auto [lo, hi] = plan.slices[i];
         TreeDpStats& stats = task_stats[i];
         futures.push_back(opt.pool->submit(
-            [&engine, &bt, &task_pool, &stats, lo, hi, exec = opt.exec] {
+            [&engine, &bt, &task_scratch, &stats, lo, hi, exec = opt.exec] {
               PeriodicCheck task_guard(exec, "tree DP subtree task", 4096);
               for (std::size_t idx = hi; idx-- > lo;) {
-                engine.process(bt.preorder()[idx], task_pool, stats,
+                engine.process(bt.preorder()[idx], task_scratch, stats,
                                task_guard);
               }
             }));
@@ -853,28 +830,28 @@ TreeDpResult solve_rhgpt(const Tree& t, const Hierarchy& h,
       for (auto it = bt.preorder().rbegin(); it != bt.preorder().rend();
            ++it) {
         if (plan.is_top[static_cast<std::size_t>(*it)] != 0) {
-          engine.process(*it, main_pool, result.stats, guard);
+          engine.process(*it, main_scratch, result.stats, guard);
         }
       }
     }
   }
   if (!parallel) {
     for (auto it = bt.preorder().rbegin(); it != bt.preorder().rend(); ++it) {
-      engine.process(*it, main_pool, result.stats, guard);
+      engine.process(*it, main_scratch, result.stats, guard);
     }
   }
-  for (const auto& pool : pools) {
-    result.stats.arena_bytes += pool->bytes_reserved();
+  for (const auto& scratch : scratches) {
+    result.stats.arena_bytes += scratch->bytes_reserved();
   }
 
   // 4. Pick the best root signature.
   const NodeTable& root_table = tables[static_cast<std::size_t>(bt.root())];
   std::size_t best_sig = SignatureSpace::npos;
   double best_cost = kInf;
-  for (const std::uint32_t s : root_table.feasible) {
-    if (root_table.cost[s] < best_cost) {
-      best_cost = root_table.cost[s];
-      best_sig = s;
+  for (std::size_t i = 0; i < root_table.feasible.size(); ++i) {
+    if (root_table.cost[i] < best_cost) {
+      best_cost = root_table.cost[i];
+      best_sig = root_table.feasible[i];
     }
   }
   if (best_sig == SignatureSpace::npos) {

@@ -23,14 +23,18 @@
 //    the parent presence pv — and fills the pv range as tuple·(h+1) + pv,
 //    adding merge_operations / merges_rejected for the whole range, so the
 //    counters read as if merge() had been called once per pv;
-//  * dense per-node cost tables are recycled all-+inf: a table is filled
-//    once when first allocated, and on release only its feasible entries
-//    (the only ones that are not +inf) are reset;
+//  * a finished node keeps only compacted tables (feasible ids, costs,
+//    back-pointers); the node being built writes into one |Sig|-sized
+//    uint32 slot index per sweep whose entries are appended in first-write
+//    order, and the index is reset sparsely (only the slots that node used);
+//  * the trees of one solve share one read-only SignatureSpace
+//    (SharedSignatureSpace) when their space parameters match;
 //  * the deadline guard ticks once per s2 row with that row's merge count,
 //    keeping the every-4096-merges check cadence.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -41,6 +45,7 @@
 #include "graph/tree.hpp"
 #include "hierarchy/hierarchy.hpp"
 #include "util/deadline.hpp"
+#include "util/sync.hpp"
 
 namespace hgp {
 
@@ -91,6 +96,30 @@ struct DpReuseStore {
   bool empty() const { return entries.empty(); }
 };
 
+/// One read-only SignatureSpace for the trees of one solve.  A space is a
+/// function of (height, units per capacity, rounded total, scaled
+/// capacities) only, and every tree of one graph's forest has the same
+/// four, so one space can serve them all instead of one per tree in
+/// flight.  The first solve_rhgpt() that asks builds the space (the others
+/// wait on the mutex) and fixes its parameters; a later tree whose
+/// parameters differ gets nullptr and builds a private space.  Safe to
+/// share across threads; must outlive every solve it is given to.
+class SharedSignatureSpace {
+ public:
+  /// The shared space if `sd`/`height` match the parameters it was built
+  /// for (building it on the first call), else nullptr.
+  const SignatureSpace* acquire(const ScaledDemands& sd, int height)
+      HGP_EXCLUDES(mu_);
+
+ private:
+  Mutex mu_;
+  std::optional<SignatureSpace> space_ HGP_GUARDED_BY(mu_);
+  // The parameters space_ was built for (its height is space_->height()).
+  DemandUnits units_per_capacity_ HGP_GUARDED_BY(mu_) = 0;
+  DemandUnits total_ HGP_GUARDED_BY(mu_) = 0;
+  std::vector<DemandUnits> capacity_ HGP_GUARDED_BY(mu_);
+};
+
 struct TreeDpOptions {
   /// Demand rounding accuracy; U = ⌈n/ε⌉ units per leaf capacity.
   double epsilon = 0.25;
@@ -108,7 +137,7 @@ struct TreeDpOptions {
   /// DP state regardless of the A/B knob.
   bool force_prune = false;
   /// Solves independent subtrees of the (binarized) tree concurrently on
-  /// this pool, each task on its own arena-backed workspace.  nullptr —
+  /// this pool, each task with its own slot-index scratch.  nullptr —
   /// or a call made from one of the pool's own workers (forest-level
   /// parallelism already owns the pool) — runs the classic sequential
   /// bottom-up sweep.  Results are bit-identical either way.
@@ -116,6 +145,10 @@ struct TreeDpOptions {
   /// Minimum binarized-tree size before the parallel subtree phase is
   /// worth its scheduling overhead.
   Vertex min_parallel_nodes = 128;
+  /// The solve's shared signature space; nullptr, or a space built for
+  /// other parameters, means this call builds a private one.  Results are
+  /// bit-identical either way.
+  SharedSignatureSpace* shared_space = nullptr;
   /// Cooperative deadline/cancellation; checked every few thousand merge
   /// relaxations.  nullptr = unconstrained.  Must outlive the call.
   const ExecContext* exec = nullptr;
@@ -141,7 +174,7 @@ struct TreeDpStats {
   std::size_t merges_rejected = 0;   ///< (j1,j2)-merges outside the space
   std::size_t states_pruned = 0;     ///< dominance-pruned DP entries
   std::size_t subtree_tasks = 0;     ///< parallel subtree DP tasks (0 = seq)
-  std::size_t arena_bytes = 0;       ///< workspace arena high-water, bytes
+  std::size_t arena_bytes = 0;       ///< scratch arenas reserved, bytes
   std::size_t nodes_built = 0;       ///< node tables computed by merging
   std::size_t nodes_reused = 0;      ///< node tables rehydrated from reuse_in
 };

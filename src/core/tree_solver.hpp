@@ -15,8 +15,11 @@ struct TreeSolverOptions {
   double epsilon = 0.25;
   DemandUnits units_override = 0;
   /// Pool for the DP's parallel subtree phase, forwarded to the DP (see
-  /// TreeDpOptions::pool; safe to share with outer per-tree parallelism).
+  /// TreeDpOptions::pool).
   ThreadPool* pool = nullptr;
+  /// The solve's shared signature space, forwarded to
+  /// TreeDpOptions::shared_space.
+  SharedSignatureSpace* shared_space = nullptr;
   /// Cooperative deadline/cancellation, forwarded to the DP.
   const ExecContext* exec = nullptr;
   /// Forwarded to TreeDpOptions::force_prune (memory-pressure degrade).

@@ -110,13 +110,13 @@ HgpResult run_tree_stage(const Graph& g, const Hierarchy& h,
                          const std::vector<DecompTree>& forest,
                          const ForestSolveOptions& opt,
                          const ExecContext& exec, const char* entry) {
+  // The trees run concurrently on opt.pool, each DP sequential on its
+  // thread with its own scratch; they share one signature space.
+  SharedSignatureSpace shared_space;
   TreeSolverOptions base_opt;
   base_opt.epsilon = opt.epsilon;
   base_opt.units_override = opt.units_override;
-  // The DP itself may also fan subtrees across the pool; when the attempts
-  // below already occupy the workers, its is_worker_thread() guard keeps
-  // each tree's DP sequential, so sharing the pool cannot deadlock.
-  base_opt.pool = opt.pool;
+  base_opt.shared_space = &shared_space;
   base_opt.exec = &exec;
   base_opt.force_prune = opt.force_prune;
   if (opt.reuse_out != nullptr) {

@@ -121,15 +121,61 @@ net::Socket start_scripted_shard(
   return std::move(mine);
 }
 
+/// Test hook: every adopted shard reports once it has finished its
+/// handshake and holds its first assignment — an honest shard from its
+/// first on_tree_start, a scripted one after its first frame — and an
+/// honest shard's first tree waits until all of them have.  The waiting
+/// shard keeps its batch (and its heartbeats), so the coordinator still
+/// has work for every other shard the moment it is up.  Without the hold
+/// a fast honest shard can finish every batch before another shard is up,
+/// and the second shard, or the scripted fault, never lands on work.
+class AllShardsUp {
+ public:
+  explicit AllShardsUp(int shards) : waiting_(shards) {}
+
+  /// A scripted shard calls this once its first frame after the handshake
+  /// (or the end of its channel) has arrived.
+  void arrived() {
+    {
+      MutexLock lock(mu_);
+      --waiting_;
+    }
+    cv_.notify_all();
+  }
+
+  /// Options for one honest shard: its first tree reports it up, then
+  /// waits for the others.
+  ShardServerOptions honest_shard() {
+    ShardServerOptions opt;
+    opt.on_tree_start = [this, first = true](int) mutable {
+      if (!first) return;
+      first = false;
+      arrived();
+      // Capped, so a shard that died in its handshake fails the test's
+      // expectations instead of hanging it.
+      const Deadline cap = Deadline::after_ms(30000);
+      MutexLock lock(mu_);
+      while (waiting_ > 0 && !cap.expired()) cv_.wait_for_ms(mu_, 20);
+    };
+    return opt;
+  }
+
+ private:
+  Mutex mu_;
+  CondVar cv_;
+  int waiting_ HGP_GUARDED_BY(mu_);
+};
+
 TEST(Coordinator, MatchesSingleProcessBitForBit) {
   const Graph g = workload(11);
   const HgpResult baseline = solve_hgp(g, hier(), base_options(11));
 
+  AllShardsUp up(2);  // outlives the shard threads in `pool`
   std::deque<ShardThread> pool;
   CoordinatorOptions copt;
   ShardCoordinator coord(g, hier(), base_options(11), copt);
-  coord.adopt_shard(start_shard(pool));
-  coord.adopt_shard(start_shard(pool));
+  coord.adopt_shard(start_shard(pool, up.honest_shard()));
+  coord.adopt_shard(start_shard(pool, up.honest_shard()));
   const HgpResult got = coord.solve();
 
   expect_bit_identical(got, baseline);
@@ -161,15 +207,17 @@ TEST(Coordinator, CrashedShardIsDetectedAndWorkReassigned) {
   const Graph g = workload(13);
   const HgpResult baseline = solve_hgp(g, hier(), base_options(13));
 
+  AllShardsUp up(2);  // outlives the shard threads in `pool`
   std::deque<ShardThread> pool;
   CoordinatorOptions copt;
   ShardCoordinator coord(g, hier(), base_options(13), copt);
   // Shard 0 crashes the moment it receives work — socket gone, no goodbye.
-  coord.adopt_shard(start_scripted_shard(pool, g, [](net::FrameChannel& ch) {
+  coord.adopt_shard(start_scripted_shard(pool, g, [&](net::FrameChannel& ch) {
     (void)ch.recv(Deadline::after_ms(20000));  // the Assign
+    up.arrived();
     ch.close();
   }));
-  coord.adopt_shard(start_shard(pool));
+  coord.adopt_shard(start_shard(pool, up.honest_shard()));
   const HgpResult got = coord.solve();
 
   expect_bit_identical(got, baseline);
@@ -183,6 +231,7 @@ TEST(Coordinator, HungShardLeaseExpires) {
   const Graph g = workload(14);
   const HgpResult baseline = solve_hgp(g, hier(), base_options(14));
 
+  AllShardsUp up(2);  // outlives the shard threads in `pool`
   std::deque<ShardThread> pool;
   Mutex mu;
   CondVar cv;
@@ -194,10 +243,11 @@ TEST(Coordinator, HungShardLeaseExpires) {
   // socket held open) until the test releases it — a hang, not a crash.
   coord.adopt_shard(start_scripted_shard(pool, g, [&](net::FrameChannel& ch) {
     (void)ch.recv(Deadline::after_ms(20000));
+    up.arrived();
     MutexLock lock(mu);
     while (!release) cv.wait_for_ms(mu, 50);
   }));
-  coord.adopt_shard(start_shard(pool));
+  coord.adopt_shard(start_shard(pool, up.honest_shard()));
   const HgpResult got = coord.solve();
   {
     MutexLock lock(mu);

@@ -22,6 +22,7 @@
 #include "core/tree_dp.hpp"
 #include "dp_reference.hpp"
 #include "graph/generators.hpp"
+#include "parallel/parallel_for.hpp"
 #include "parallel/thread_pool.hpp"
 #include "util/prng.hpp"
 
@@ -141,8 +142,11 @@ TEST(DpDifferential, TwoHundredSeedsAgreeAcrossConfigurations) {
 // OFF (independent of HGP_DP_PRUNE).  The sweep above only compares
 // configurations of the same kernel with each other, so a kernel that
 // skipped or double-counted merges in every configuration would still pass
-// it; these pinned values would not.  On drift the test prints the
-// measured rows.
+// it; these pinned values would not.  Each seed is also solved four times
+// at once on a 4-worker pool, all sharing one SignatureSpace (the first to
+// ask builds it): every such solve must reproduce the pinned counters and
+// the private-space solve's cost and solution.  On drift the test prints
+// the measured rows.
 struct PinnedDp {
   std::uint64_t seed;
   bool prune;
@@ -164,6 +168,7 @@ constexpr PinnedDp kPinnedDp[] = {
 };
 
 TEST(DpDifferential, CountersMatchPinnedValues) {
+  ThreadPool pool(4);
   for (const PinnedDp& pin : kPinnedDp) {
     const Instance inst = make_instance(pin.seed);
     SCOPED_TRACE(::testing::Message()
@@ -172,11 +177,29 @@ TEST(DpDifferential, CountersMatchPinnedValues) {
     opt.units_override = inst.units;
     opt.prune_dominated = pin.prune;
     opt.force_prune = pin.prune;
-    const TreeDpStats s = solve_rhgpt(inst.tree, inst.hierarchy, opt).stats;
+    const TreeDpResult ref = solve_rhgpt(inst.tree, inst.hierarchy, opt);
+    const TreeDpStats& s = ref.stats;
     EXPECT_EQ(s.merge_operations, pin.merges);
     EXPECT_EQ(s.merges_rejected, pin.rejected);
     EXPECT_EQ(s.feasible_states, pin.feasible);
     EXPECT_EQ(s.states_pruned, pin.pruned);
+
+    SharedSignatureSpace shared;
+    TreeDpOptions shared_opt = opt;
+    shared_opt.shared_space = &shared;
+    std::vector<TreeDpResult> got(4);
+    parallel_for(pool, 0, got.size(), [&](std::size_t i) {
+      got[i] = solve_rhgpt(inst.tree, inst.hierarchy, shared_opt);
+    });
+    for (const TreeDpResult& r : got) {
+      EXPECT_EQ(r.stats.merge_operations, pin.merges);
+      EXPECT_EQ(r.stats.merges_rejected, pin.rejected);
+      EXPECT_EQ(r.stats.feasible_states, pin.feasible);
+      EXPECT_EQ(r.stats.states_pruned, pin.pruned);
+      EXPECT_EQ(r.stats.signature_count, s.signature_count);
+      EXPECT_EQ(r.cost, ref.cost);
+      EXPECT_EQ(r.solution.sets, ref.solution.sets);
+    }
     if (::testing::Test::HasFailure()) {
       std::printf("measured: {%llu, %s, %zu, %zu, %zu, %zu},\n",
                   static_cast<unsigned long long>(pin.seed),

@@ -19,6 +19,7 @@
 
 #include "golden_corpus.hpp"
 #include "graph/io.hpp"
+#include "parallel/thread_pool.hpp"
 #include "util/env.hpp"
 
 #ifndef HGP_GOLDEN_DIR
@@ -88,11 +89,14 @@ std::vector<PinnedCounters> load_pinned_counters() {
   return rows;
 }
 
-// Costs and DP counters of the canonical solve.  Pruning follows the
-// process (HGP_DP_PRUNE, on by default); the ctest entry
+// Costs and DP counters of the canonical solve, which is sequential, and of
+// the same solve with its trees on a 4-worker pool: placements, costs and
+// counters must not depend on the pool.  Pruning follows the process
+// (HGP_DP_PRUNE, on by default); the ctest entry
 // Golden.CommittedCostsReproduce.PruneOff reruns this with it off.  Once
 // anything has failed, the test prints the counter row it measured.
 TEST(Golden, CommittedCostsReproduce) {
+  ThreadPool pool(4);
   const std::vector<Expected> rows = load_expected();
   ASSERT_GE(rows.size(), 12u) << "corpus missing or unreadable";
   const std::vector<PinnedCounters> pinned = load_pinned_counters();
@@ -106,6 +110,19 @@ TEST(Golden, CommittedCostsReproduce) {
     const Hierarchy h = golden::hierarchy_by_name(e.hierarchy);
     const HgpResult r = solve_hgp(g, h, golden::canonical_options());
     ASSERT_FALSE(r.degraded()) << r.status.to_string();
+    SolverOptions pooled_opt = golden::canonical_options();
+    pooled_opt.pool = &pool;
+    const HgpResult pooled = solve_hgp(g, h, pooled_opt);
+    ASSERT_FALSE(pooled.degraded()) << pooled.status.to_string();
+    EXPECT_EQ(pooled.placement.leaf_of, r.placement.leaf_of);
+    EXPECT_EQ(pooled.cost, r.cost);
+    EXPECT_EQ(pooled.tree_costs, r.tree_costs);
+    const SolveTelemetry& pt = pooled.telemetry;
+    EXPECT_EQ(pt.dp_merge_operations, r.telemetry.dp_merge_operations);
+    EXPECT_EQ(pt.dp_merges_rejected, r.telemetry.dp_merges_rejected);
+    EXPECT_EQ(pt.dp_feasible_states, r.telemetry.dp_feasible_states);
+    EXPECT_EQ(pt.dp_states_pruned, r.telemetry.dp_states_pruned);
+    EXPECT_EQ(pt.dp_signatures, r.telemetry.dp_signatures);
     EXPECT_NEAR(r.cost, e.cost, 1e-6 * std::max(1.0, std::abs(e.cost)))
         << "cost drift; if intended, refresh with tools/hgp_golden";
 

@@ -54,6 +54,8 @@ std::string read_file(const std::string& path) {
   return os.str();
 }
 
+#if HGP_OBS_ENABLED
+// Used only by the service-endpoint tests, which need the telemetry build.
 Graph workload(std::uint64_t seed) {
   Rng rng(seed);
   Graph g = gen::planted_partition(24, 4, 0.75, 0.05, rng,
@@ -67,6 +69,7 @@ const Hierarchy& hier() {
   static const Hierarchy h({2, 2}, {4.0, 1.0, 0.0});
   return h;
 }
+#endif  // HGP_OBS_ENABLED
 
 // ---------------------------------------------------------------------------
 // IntrospectionServer: scrape round trips

@@ -6,12 +6,14 @@
 // the sanitizer matrix (scripts/check_sanitizers.sh).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
 #include <deque>
 #include <filesystem>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <thread>
@@ -285,6 +287,84 @@ TEST(Race, CompetingParallelSubtreeSolvesShareOnePool) {
   seq.pool = nullptr;
   EXPECT_EQ(c1, solve_rhgpt(t1, h, seq).cost);
   EXPECT_EQ(c2, solve_rhgpt(t2, h, seq).cost);
+}
+
+// Four trees of one forest on a 4-worker pool, all sharing one
+// SignatureSpace: the first DP to ask builds it under the
+// SharedSignatureSpace mutex while the others wait for it, then every
+// worker reads it at once while writing its own scratch.  Run to
+// completion (bit-identical to private spaces), with a deadline that
+// expires mid-sweep, and cancelled from another thread.
+TEST(Race, FourTreesShareOneSignatureSpace) {
+  Graph g = gen::grid2d(4, 8);
+  std::vector<double> demand(static_cast<std::size_t>(g.vertex_count()));
+  for (std::size_t v = 0; v < demand.size(); ++v) {
+    demand[v] = 0.25 + 0.1 * static_cast<double>(v % 4);
+  }
+  g.set_demands(std::move(demand));
+  const Hierarchy h({4, 4}, {4.0, 1.0, 0.0});
+  const std::vector<DecompTree> forest =
+      build_decomposition_forest(g, 4, 3, FmCutter());
+  ThreadPool pool(4);
+
+  TreeDpOptions opt;
+  opt.units_override = 16;
+  opt.force_prune = true;
+  auto solve_forest = [&](const ExecContext* exec) {
+    SharedSignatureSpace shared;
+    TreeDpOptions shared_opt = opt;
+    shared_opt.shared_space = &shared;
+    shared_opt.exec = exec;
+    std::vector<TreeDpResult> out(forest.size());
+    parallel_for(pool, 0, forest.size(), [&](std::size_t i) {
+      out[i] = solve_rhgpt(forest[i].tree(), h, shared_opt);
+    });
+    return out;
+  };
+
+  // Private-space references; the fastest tree's solve times the
+  // deadline and the cancel below, so both land inside every tree's sweep.
+  std::vector<TreeDpResult> ref;
+  double tree_ms = std::numeric_limits<double>::infinity();
+  for (const DecompTree& dt : forest) {
+    const auto t0 = std::chrono::steady_clock::now();
+    ref.push_back(solve_rhgpt(dt.tree(), h, opt));
+    tree_ms = std::min(tree_ms, std::chrono::duration<double, std::milli>(
+                                    std::chrono::steady_clock::now() - t0)
+                                    .count());
+  }
+  const std::vector<TreeDpResult> got = solve_forest(nullptr);
+  for (std::size_t i = 0; i < forest.size(); ++i) {
+    EXPECT_EQ(got[i].cost, ref[i].cost);
+    EXPECT_EQ(got[i].solution.sets, ref[i].solution.sets);
+    EXPECT_EQ(got[i].stats.merge_operations, ref[i].stats.merge_operations);
+  }
+
+  ExecContext deadline;
+  deadline.deadline = Deadline::after_ms(tree_ms / 4);
+  try {
+    (void)solve_forest(&deadline);
+    ADD_FAILURE() << "the forest finished inside a quarter of its fastest "
+                  << "tree's " << tree_ms << " ms solve";
+  } catch (const SolveError& e) {
+    EXPECT_EQ(e.code(), StatusCode::kDeadlineExceeded);
+  }
+
+  CancelToken cancel;
+  ExecContext cancellable;
+  cancellable.cancel = &cancel;
+  std::thread canceller([&] {
+    std::this_thread::sleep_for(
+        std::chrono::duration<double, std::milli>(tree_ms / 4));
+    cancel.request_cancel();
+  });
+  try {
+    (void)solve_forest(&cancellable);
+    // Legal only if the canceller was descheduled past the whole solve.
+  } catch (const SolveError& e) {
+    EXPECT_EQ(e.code(), StatusCode::kCancelled);
+  }
+  canceller.join();
 }
 
 // Concurrent end-to-end solves of the SAME instance: the second wave is

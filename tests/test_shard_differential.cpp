@@ -36,18 +36,21 @@ struct ShardThread {
   }
 };
 
-/// One-shot gate between the two shards of a fault schedule.  The honest
-/// shard starts serving only once the faulty shard holds its first
-/// assignment; otherwise a fast honest shard can finish every batch while
-/// the faulty one is still handshaking, and the fault never lands on work.
-/// The wait is capped below the coordinator's 10 s handshake timeout so a
-/// faulty shard that dies before its assignment cannot wedge the solve.
+/// Test hook between the two shards of a fault schedule: the faulty shard
+/// opens it once it has finished its handshake and received its first
+/// assignment, and the honest shard holds its first tree until then.  The
+/// honest shard keeps its batch and its heartbeats meanwhile, so the
+/// coordinator still has pending work for the faulty shard the moment it
+/// is up; without the hold a fast honest shard can finish every batch
+/// while the faulty one is still handshaking, and the fault never lands on
+/// work.  The hold is capped so that a faulty shard which dies in its
+/// handshake fails the run instead of hanging it.
 class Gate {
  public:
   void open() {
     std::call_once(once_, [this] { promise_.set_value(); });
   }
-  void wait() const { (void)opened_.wait_for(std::chrono::seconds(5)); }
+  void wait() const { (void)opened_.wait_for(std::chrono::seconds(30)); }
 
  private:
   std::promise<void> promise_;
@@ -58,11 +61,12 @@ class Gate {
 net::Socket start_shard(std::deque<ShardThread>& pool,
                         std::shared_ptr<Gate> gate = nullptr) {
   auto [mine, theirs] = net::socket_pair();
+  ShardServerOptions opt;
+  if (gate != nullptr) opt.on_tree_start = [gate](int) { gate->wait(); };
   ShardThread& sh = pool.emplace_back();
-  sh.thread = std::thread([&sh, sock = std::move(theirs), gate]() mutable {
-    if (gate != nullptr) gate->wait();
+  sh.thread = std::thread([&sh, sock = std::move(theirs), opt]() mutable {
     net::FrameChannel ch(std::move(sock));
-    sh.report = run_shard_server(ch, ShardServerOptions{});
+    sh.report = run_shard_server(ch, opt);
   });
   return std::move(mine);
 }

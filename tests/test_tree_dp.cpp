@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "baseline/exact.hpp"
+#include "core/binarize.hpp"
+#include "core/demand.hpp"
 #include "core/rhgpt.hpp"
 #include "core/tree_dp.hpp"
 #include "graph/generators.hpp"
@@ -202,6 +204,71 @@ TEST(TreeDp, HeightThreeHierarchy) {
   EXPECT_NEAR(r.cost, rhgpt_cost(t, h, r.solution), 1e-9);
   EXPECT_NO_THROW(validate_rhgpt(t, h, r.scaled, r.solution, 1.0));
   EXPECT_EQ(count_bad_sets(t, r.solution), 0);
+}
+
+// The DP's only dense scratch is one |Sig|-sized uint32 slot index per
+// sweep (finished nodes keep compacted tables), so a tree's scratch arena
+// holds at most 4·|Sig| bytes plus one arena chunk (Arena's default,
+// 64 KiB) — not a dense cost and back-pointer table per live node.
+TEST(TreeDp, ScratchIsOneSlotIndex) {
+  Rng rng(11);
+  const Tree t = random_instance(40, rng, 0.2, 0.5);
+  const Hierarchy h({4, 4, 4}, {10.0, 4.0, 1.0, 0.0});
+  TreeDpOptions opt;
+  opt.units_override = 8;
+  const TreeDpResult r = solve_rhgpt(t, h, opt);
+  constexpr std::size_t kArenaChunk = std::size_t{1} << 16;
+  const std::size_t sig = r.stats.signature_count;
+  ASSERT_GT(4 * sig, kArenaChunk) << "instance too small to tell";
+  EXPECT_GE(r.stats.arena_bytes, 4 * sig);
+  EXPECT_LE(r.stats.arena_bytes, 4 * sig + kArenaChunk);
+}
+
+// A shared space serves only the parameters it was built for.  Here it is
+// built by a solve of `t`; a resolve of `t2`, whose rounded total differs,
+// reuses t's subtree tables through the store (translated into t2's
+// space) and must get a private space, with a result bit-identical to a
+// from-scratch solve of t2.
+TEST(TreeDp, SharedSpaceMismatchGetsPrivateSpace) {
+  Rng rng(12);
+  const Tree t = random_instance(12, rng, 0.2, 0.4);
+  const Hierarchy h({2, 2}, {4.0, 1.0, 0.0});
+  TreeDpOptions opt;
+  opt.units_override = 4;
+
+  DpReuseStore store;
+  SharedSignatureSpace shared;
+  TreeDpOptions first = opt;
+  first.reuse_out = &store;
+  first.shared_space = &shared;
+  (void)solve_rhgpt(t, h, first);
+
+  // Raise one leaf's demand: the rounded total changes, the capacities do
+  // not.
+  Tree t2 = t;
+  std::vector<double> d;
+  for (const Vertex leaf : t.leaves()) d.push_back(t.demand(leaf));
+  d.front() = 0.9;
+  t2.set_leaf_demands(d);
+  const ScaledDemands sd =
+      scale_demands(binarize(t).tree, h, opt.epsilon, opt.units_override);
+  const ScaledDemands sd2 =
+      scale_demands(binarize(t2).tree, h, opt.epsilon, opt.units_override);
+  ASSERT_NE(sd.total, sd2.total);
+  ASSERT_EQ(sd.capacity, sd2.capacity);
+  EXPECT_NE(shared.acquire(sd, h.height()), nullptr);
+  EXPECT_EQ(shared.acquire(sd2, h.height()), nullptr);
+
+  TreeDpOptions resolve = opt;
+  resolve.reuse_in = &store;
+  resolve.shared_space = &shared;
+  const TreeDpResult got = solve_rhgpt(t2, h, resolve);
+  const TreeDpResult scratch = solve_rhgpt(t2, h, opt);
+  EXPECT_GT(got.stats.nodes_reused, 0u);
+  EXPECT_EQ(got.cost, scratch.cost);
+  EXPECT_EQ(got.solution.sets, scratch.solution.sets);
+  EXPECT_EQ(got.stats.signature_count, scratch.stats.signature_count);
+  EXPECT_EQ(got.stats.feasible_states, scratch.stats.feasible_states);
 }
 
 }  // namespace

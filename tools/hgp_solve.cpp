@@ -20,6 +20,7 @@
 // A degraded run (fallback placement under an expired deadline) still
 // prints and writes its placement but exits with the status's code, so
 // scripts can tell a full-quality solve from a downgraded one.
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
@@ -42,6 +43,7 @@
 #include "hierarchy/placement_io.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "parallel/thread_pool.hpp"
 #include "runtime/coordinator.hpp"
 #include "runtime/forest_cache.hpp"
 #include "runtime/service.hpp"
@@ -104,7 +106,9 @@ void print_usage(std::FILE* to, const char* argv0) {
       "  --deg LIST       children per hierarchy level, e.g. 2,4,2\n"
       "  --cm LIST        level cost multipliers, e.g. 10,4,1,0\n"
       "  --algo NAME      placement algorithm (default hgp)\n"
-      "  --trees N        decomposition trees sampled by hgp (default 4)\n"
+      "  --trees N        decomposition trees sampled by hgp (default 4);\n"
+      "                   they are built and solved on min(cores, N)\n"
+      "                   threads\n"
       "  --units U        demand units per leaf (default 8)\n"
       "  --epsilon E      derive units from rounding accuracy E instead\n"
       "  --seed S         PRNG seed (default 1)\n"
@@ -365,7 +369,15 @@ int main(int argc, char** argv) {
     bool have_hgp = false;
     bool retries_exhausted = false;
     if (algo == "hgp") {
+      // The forest's trees are independent until the arg-min, so they are
+      // built and solved on min(cores, trees) threads (a 0-worker pool
+      // runs them on the caller when that is one).  The answer does not
+      // depend on the count.
+      const std::size_t threads = std::min(ThreadPool::default_thread_count(),
+                                           static_cast<std::size_t>(trees));
+      ThreadPool pool(threads > 1 ? threads : 0);
       SolverOptions opt;
+      opt.pool = &pool;
       opt.num_trees = trees;
       opt.epsilon = epsilon;
       opt.units_override = units;
